@@ -18,7 +18,7 @@ import click
 from . import io as mio
 from .approx import approx_fuse
 from .errors import FusionError
-from .exact import exact_fuse
+from .exact import DEFAULT_CANDIDATE_CAP, exact_fuse
 from .methods import FUSION_BACKENDS, fusion_backend
 from .model import PriorConfig, SourceQuality
 from .quality import IterationConfig, iterate
@@ -39,7 +39,7 @@ class RunConfig:
     max_iterations: int = 5
     prior_mode: str = "literal"
     accuracy_mode: str = "per-item"
-    exact_candidate_cap: int = 8
+    exact_candidate_cap: int = DEFAULT_CANDIDATE_CAP
 
 
 def _load_run_config(path) -> RunConfig:

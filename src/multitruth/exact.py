@@ -3,17 +3,30 @@
 A possible world is an ordered sequence of values already committed as
 truths; the probability of a value is the weighted sum, over all worlds
 not containing it, of its conditional probability of being the next truth.
-Exponential in the candidate count, so guarded by a cap; serves as the
-oracle for the quadratic approximation.
+The conditionals depend only on the *set* already selected, so the sum
+runs as a dynamic program over subsets: the candidates are numbered in
+token order, a subset is a bitmask, and the mass of a subset is the
+summed probability of every selection order that reaches it.  One item
+costs O(2^m * m * S) for m candidates and S sources, so the candidate
+count is capped (`DEFAULT_CANDIDATE_CAP`); serves as the oracle for the
+quadratic approximation.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, FrozenSet, Mapping, Sequence
+from operator import getitem
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import DegenerateEvidenceError, InstanceTooLargeError, UnknownSourceError
-from .likelihood import LOG_ZERO, category_probs, source_likelihood
+from .likelihood import (
+    LOG_ZERO,
+    category_counts,
+    category_log_probs,
+    category_probs,
+    counts_likelihood,
+    source_likelihood,
+)
 from .model import (
     BOTTOM,
     ClaimSet,
@@ -26,32 +39,54 @@ from .model import (
     prior_slot_count,
 )
 
-DEFAULT_CANDIDATE_CAP = 8
+DEFAULT_CANDIDATE_CAP = 12
 
 # Worlds whose cumulative probability falls below this contribute nothing
 # at the supported tolerances; skipping them bounds work.
 PRUNE_THRESHOLD = 1e-12
 
 
+def _normalise(log_weights: Sequence[float], item_id: Any) -> List[float]:
+    """Bayes normalisation of log-domain weights, shifted by their maximum
+    so that no exponential underflows to an all-zero distribution."""
+    top = max(log_weights)
+    if top == LOG_ZERO:
+        raise DegenerateEvidenceError(
+            f"degenerate evidence on item {item_id!r}: all likelihoods are zero")
+    total = sum(math.exp(lw - top) for lw in log_weights)
+    return [math.exp(lw - top) / total if lw != LOG_ZERO else 0.0 for lw in log_weights]
+
+
+def _prior_logs(m: int, prior: PriorConfig, n_selected: int,
+                prior_mode: str) -> Tuple[Optional[float], Optional[float]]:
+    """Log prior of one particular unselected value among `m` candidates,
+    and of BOTTOM, being the next truth after `n_selected` values; None
+    where the prior is 0."""
+    i = n_selected + 1
+    beta = beta_at(prior, i)
+    v_prior = (1.0 - beta) / prior_slot_count(m, i, prior_mode) if n_selected < m else 0.0
+    return (math.log(v_prior) if v_prior > 0 else None,
+            math.log(beta) if beta > 0 else None)
+
+
+def _posterior_logs(log_likelihoods: Sequence[float],
+                    log_prior: Optional[float]) -> List[float]:
+    return [LOG_ZERO if ll == LOG_ZERO or log_prior is None else ll + log_prior
+            for ll in log_likelihoods]
+
+
 def conditional_distribution(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
                              prior: PriorConfig, selected: Sequence[Any],
                              prior_mode: str = "literal") -> Dict[Any, float]:
     """Bayes-normalized probabilities, over the unselected candidates plus
-    BOTTOM, of being the next truth after `selected`."""
-    probs = {s: category_probs(q, prior.n) for s, q in qualities.items()}
-    return _conditional_distribution(claims, probs, prior, frozenset(selected),
-                                     len(selected), prior_mode)
-
-
-def _conditional_distribution(claims: ClaimSet, source_probs, prior: PriorConfig,
-                              selected: FrozenSet[Any], n_selected: int,
-                              prior_mode: str) -> Dict[Any, float]:
-    remaining = sorted(claims.candidates - selected, key=str)
-    i = n_selected + 1
-    beta = beta_at(prior, i)
-    v_prior = ((1.0 - beta) / prior_slot_count(len(claims.candidates), i, prior_mode)
-               if remaining else 0.0)
-    selected_seq = tuple(selected)
+    BOTTOM, of being the next truth after `selected`.  Evaluates every
+    source's likelihood on the hypothesized sets themselves; `exact_fuse`
+    reaches the same numbers from category counts."""
+    source_probs = {s: category_probs(q, prior.n) for s, q in qualities.items()}
+    selected_seq = tuple(frozenset(selected))
+    remaining = sorted(claims.candidates - frozenset(selected), key=str)
+    log_v_prior, log_beta = _prior_logs(len(claims.candidates), prior, len(selected),
+                                        prior_mode)
 
     def joint_ll(candidate) -> float:
         total = 0.0
@@ -62,20 +97,9 @@ def _conditional_distribution(claims: ClaimSet, source_probs, prior: PriorConfig
             total += ll
         return total
 
-    log_weights: Dict[Any, float] = {}
-    for v in remaining:
-        ll = joint_ll(v)
-        log_weights[v] = LOG_ZERO if ll == LOG_ZERO or v_prior <= 0 else ll + math.log(v_prior)
-    ll_bot = joint_ll(BOTTOM)
-    log_weights[BOTTOM] = LOG_ZERO if ll_bot == LOG_ZERO or beta <= 0 else ll_bot + math.log(beta)
-
-    top = max(log_weights.values())
-    if top == LOG_ZERO:
-        raise DegenerateEvidenceError(
-            f"degenerate evidence on item {claims.item_id!r}: all likelihoods are zero")
-    total = sum(math.exp(lw - top) for lw in log_weights.values())
-    return {c: math.exp(lw - top) / total if lw != LOG_ZERO else 0.0
-            for c, lw in log_weights.items()}
+    log_weights = (_posterior_logs([joint_ll(v) for v in remaining], log_v_prior)
+                   + _posterior_logs([joint_ll(BOTTOM)], log_beta))
+    return dict(zip(remaining + [BOTTOM], _normalise(log_weights, claims.item_id)))
 
 
 def conditional_prob(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
@@ -89,24 +113,59 @@ def conditional_prob(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
     return dist[candidate]
 
 
-def _enumerate(candidates, conds_for, prune: float) -> Dict[Any, float]:
-    """Depth-first sum over all selection sequences.  `conds_for` maps a
-    frozenset of already-selected values to the conditional distribution
-    over the remaining candidates plus BOTTOM."""
-    totals = {v: 0.0 for v in candidates}
-    all_values = frozenset(candidates)
-
-    def walk(selected: FrozenSet[Any], world_p: float) -> None:
-        cond = conds_for(selected)
-        for v in all_values - selected:
-            branch = world_p * cond[v]
+def _enumerate(m: int, cond_of: Callable[[int, List[int]], Sequence[float]],
+               prune: float) -> List[float]:
+    """Sum over all selection sequences of m candidates as a DP over
+    subsets.  `cond_of(mask, remaining)` gives the conditional probability
+    of each candidate in `remaining` (the indices not in `mask`, ascending)
+    being the next truth; the rest of its mass is BOTTOM, which ends the
+    world and contributes nothing.  Masks are visited in increasing order,
+    so every subset comes after all of its predecessors.  A non-empty
+    subset whose mass is not above `prune` is not expanded; the mass sums
+    every order reaching it, so this prunes no more than a walk over the
+    orders themselves.  The empty selection is evaluated even without
+    candidates, so evidence that rules out stopping at once still raises."""
+    full = (1 << m) - 1
+    totals = [0.0] * m
+    mass = [0.0] * (1 << m)
+    mass[0] = 1.0
+    for mask in range(max(full, 1)):
+        world_p = mass[mask]
+        if mask and world_p <= prune:
+            continue
+        remaining = [v for v in range(m) if not mask >> v & 1]
+        expand = len(remaining) > 1
+        for v, p in zip(remaining, cond_of(mask, remaining)):
+            branch = world_p * p
             totals[v] += branch
-            if branch > prune and len(selected) + 1 < len(all_values):
-                walk(selected | {v}, branch)
-        # the BOTTOM branch terminates the world and contributes nothing
+            if expand:
+                mass[mask | 1 << v] += branch
+    # rounding can carry a sum of probabilities one unit past 1
+    return [min(max(t, 0.0), 1.0) for t in totals]
 
-    walk(frozenset(), 1.0)
-    return totals
+
+class _SourceCells(dict):
+    """A source's log-likelihood depends on the hypothesis only through the
+    selected count k, the count c of selected values the source provides,
+    and whether the candidate is a value it provides, one it does not, or
+    BOTTOM.  Maps (k, c) to those three log-likelihoods (None where no
+    provided value is left to be the candidate), each computed on first
+    use: pruned enumeration reaches only a few (k, c) pairs."""
+
+    def __init__(self, log_probs: Sequence[float], n_provided: int):
+        super().__init__()
+        self.log_probs = log_probs
+        self.n_provided = n_provided
+
+    def __missing__(self, key):
+        k, c = key
+        p, log_probs = self.n_provided, self.log_probs
+        cell = self[key] = (
+            counts_likelihood(category_counts(k + 1, p, c + 1), log_probs, False)
+            if c < p else None,
+            counts_likelihood(category_counts(k + 1, p, c), log_probs, False),
+            counts_likelihood(category_counts(k, p, c), log_probs, True))
+        return cell
 
 
 def _select(probabilities: Dict[Any, float]):
@@ -123,19 +182,35 @@ def exact_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
         raise InstanceTooLargeError(
             f"instance too large for exact enumeration ({len(claims.candidates)} candidates "
             f"> cap {max_candidates}); use the approximation")
-    source_probs = {s: category_probs(q, prior.n) for s, q in qualities.items()}
     for source in claims.per_source:
-        if source not in source_probs:
+        if source not in qualities:
             raise UnknownSourceError(f"unknown source {source!r}: no quality entry")
-    cache: Dict[FrozenSet[Any], Dict[Any, float]] = {}
+    values = sorted(claims.candidates, key=str)
+    index = {v: i for i, v in enumerate(values)}
+    m = len(values)
+    priors = [_prior_logs(m, prior, k, prior_mode) for k in range(m + 1)]
+    sources = [(sum(1 << index[v] for v in provided),
+                _SourceCells(category_log_probs(category_probs(qualities[source], prior.n)),
+                             len(provided)))
+               for source, provided in claims.per_source.items()]
 
-    def conds_for(selected: FrozenSet[Any]) -> Dict[Any, float]:
-        if selected not in cache:
-            cache[selected] = _conditional_distribution(
-                claims, source_probs, prior, selected, len(selected), prior_mode)
-        return cache[selected]
+    # where a candidate's log-likelihood sits in a source's cell: 0 if the
+    # source provides it, 1 if not
+    kinds = [[0 if provided_mask >> v & 1 else 1 for provided_mask, _ in sources]
+             for v in range(m)]
 
-    probabilities = _enumerate(sorted(claims.candidates, key=str), conds_for, prune)
+    def cond_of(mask: int, remaining: List[int]) -> List[float]:
+        k = m - len(remaining)
+        cells = [table[k, (mask & provided_mask).bit_count()]
+                 for provided_mask, table in sources]
+        lls = [sum(map(getitem, cells, kinds[v])) for v in remaining]
+        ll_bot = sum(cell[2] for cell in cells)
+        log_v_prior, log_beta = priors[k]
+        log_weights = _posterior_logs(lls, log_v_prior) + _posterior_logs([ll_bot], log_beta)
+        return _normalise(log_weights, claims.item_id)
+
+    totals = _enumerate(m, cond_of, prune)
+    probabilities = dict(zip(values, totals))
     return FusionResult(
         item_id=claims.item_id,
         probabilities=probabilities,
@@ -149,19 +224,16 @@ def exact_fuse_from_votes(fixture: VoteCountFixture, item_id: Any = None,
     """Exact enumeration with conditionals taken from injected vote
     counts: p(v | selected) = L(v) / (sum of unselected L + stop vote)."""
     values = sorted(fixture.votes, key=str)
-    votes = dict(fixture.votes)
+    votes = [fixture.votes[v] for v in values]
 
-    def conds_for(selected: FrozenSet[Any]) -> Dict[Any, float]:
-        remaining = [v for v in values if v not in selected]
-        bot = fixture.bot_at(len(selected) + 1)
+    def cond_of(mask: int, remaining: List[int]) -> List[float]:
+        bot = fixture.bot_at(len(values) - len(remaining) + 1)
         denom = sum(votes[v] for v in remaining) + bot
         if denom <= 0:
             raise DegenerateEvidenceError("degenerate votes: zero denominator")
-        cond = {v: votes[v] / denom for v in remaining}
-        cond[BOTTOM] = bot / denom
-        return cond
+        return [votes[v] / denom for v in remaining]
 
-    probabilities = _enumerate(values, conds_for, prune)
+    probabilities = dict(zip(values, _enumerate(len(values), cond_of, prune)))
     return FusionResult(
         item_id=item_id,
         probabilities=probabilities,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence, Union
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence, Tuple, Union
 
 from .errors import UnknownSourceError
 from .model import BOTTOM, ClaimSet, SourceQuality, _Bottom
@@ -21,8 +21,7 @@ Candidate = Union[Any, _Bottom]
 LOG_ZERO = float("-inf")
 
 
-@dataclass(frozen=True)
-class CategoryCounts:
+class CategoryCounts(NamedTuple):
     consistent: int
     inconsistent: int
     extra: int
@@ -60,6 +59,15 @@ def category_probs(quality: SourceQuality, n: int) -> CategoryProbs:
     )
 
 
+def category_counts(n_truths: int, n_provided: int, n_consistent: int) -> CategoryCounts:
+    """Partition of a source's `n_provided` values against `n_truths`
+    hypothesized truths, `n_consistent` of which the source provides.  A
+    source provides extra values or misses truth slots, never both."""
+    if n_truths < n_provided:
+        return CategoryCounts(n_consistent, n_truths - n_consistent, n_provided - n_truths, 0)
+    return CategoryCounts(n_consistent, n_provided - n_consistent, 0, n_truths - n_provided)
+
+
 def partition_counts(provided: Iterable[Any], selected: Sequence[Any],
                      candidate: Candidate) -> CategoryCounts:
     """Partition one source's provided values against the hypothesized
@@ -71,36 +79,40 @@ def partition_counts(provided: Iterable[Any], selected: Sequence[Any],
         if candidate in truths:
             raise ValueError(f"candidate {candidate!r} already selected")
         truths.add(candidate)
-    n_c = len(truths & provided)
-    n_w = min(len(truths), len(provided)) - n_c
-    n_e = max(len(provided) - len(truths), 0)
-    n_m = max(len(truths) - len(provided), 0)
-    return CategoryCounts(consistent=n_c, inconsistent=n_w, extra=n_e, missing=n_m)
+    return category_counts(len(truths), len(provided), len(truths & provided))
 
 
-def _xlogy(count: int, p: float) -> float:
-    if count == 0:
-        return 0.0
-    if p <= 0.0:
-        return LOG_ZERO
-    return count * math.log(p)
+def category_log_probs(probs: CategoryProbs) -> Tuple[float, ...]:
+    """Logs of (p_consistent, p_inconsistent, p_extra, p_missing,
+    p_no_extra), LOG_ZERO for a zero probability.  The first four follow
+    the field order of `CategoryCounts`, which `counts_likelihood` zips
+    them with."""
+    return tuple(math.log(p) if p > 0.0 else LOG_ZERO
+                 for p in (probs.p_consistent, probs.p_inconsistent, probs.p_extra,
+                           probs.p_missing, probs.p_no_extra))
+
+
+def counts_likelihood(counts: CategoryCounts, log_probs: Sequence[float], stop: bool) -> float:
+    """Log-likelihood of one source's observations from its category counts
+    and `category_log_probs`.  A category with count 0 contributes nothing,
+    even at probability 0.  When the hypothesis stops (the candidate is
+    BOTTOM) and the source did not overshoot the truth count, the source is
+    additionally credited for not providing extra values."""
+    ll = 0.0
+    for count, log_p in zip(counts, log_probs):
+        if count:
+            ll += count * log_p
+    if stop and counts.extra == 0:
+        ll += log_probs[4]
+    return ll
 
 
 def source_likelihood(provided: Iterable[Any], selected: Sequence[Any],
                       candidate: Candidate, probs: CategoryProbs) -> float:
     """Log-likelihood of one source's observations given the hypothesized
-    truth set.  When the candidate is BOTTOM and the source did not
-    overshoot the truth count, the source is additionally credited for not
-    providing extra values."""
-    provided = frozenset(provided)
+    truth set `selected` plus `candidate` (see `counts_likelihood`)."""
     counts = partition_counts(provided, selected, candidate)
-    ll = (_xlogy(counts.consistent, probs.p_consistent)
-          + _xlogy(counts.inconsistent, probs.p_inconsistent)
-          + _xlogy(counts.extra, probs.p_extra)
-          + _xlogy(counts.missing, probs.p_missing))
-    if candidate is BOTTOM and len(provided) <= len(selected):
-        ll += _xlogy(1, probs.p_no_extra)
-    return ll
+    return counts_likelihood(counts, category_log_probs(probs), candidate is BOTTOM)
 
 
 def joint_likelihood(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
