@@ -16,9 +16,8 @@ from pathlib import Path
 import click
 
 from . import io as mio
-from .approx import approx_fuse
 from .errors import FusionError
-from .exact import DEFAULT_CANDIDATE_CAP, exact_fuse
+from .exact import DEFAULT_CANDIDATE_CAP
 from .methods import FUSION_BACKENDS, fusion_backend
 from .model import PriorConfig, SourceQuality
 from .quality import IterationConfig, iterate
@@ -83,15 +82,9 @@ def _load_run_config(path) -> RunConfig:
 
 
 def _backend_for(method: str, cfg: RunConfig):
-    if method == "hybrid":
-        return lambda cs, q, p: approx_fuse(cs, q, p, prior_mode=cfg.prior_mode,
-                                            record_steps=False)
-    if method == "hybrid-exact":
-        return lambda cs, q, p: exact_fuse(cs, q, p,
-                                           max_candidates=cfg.exact_candidate_cap,
-                                           prior_mode=cfg.prior_mode)
     try:
-        return fusion_backend(method)
+        return fusion_backend(method, prior_mode=cfg.prior_mode,
+                              exact_candidate_cap=cfg.exact_candidate_cap)
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
@@ -113,8 +106,7 @@ def main():
               help="JSON run configuration.")
 @click.option("--out", "out_prefix", required=True,
               help="Output prefix: writes <prefix>.csv and <prefix>.json.")
-@click.option("--threads", type=int, default=None, help="Item-parallel worker count.")
-def fuse(method, claims_path, config_path, out_prefix, threads):
+def fuse(method, claims_path, config_path, out_prefix):
     """Fuse a claims file and write per-value probabilities plus a run
     summary."""
     cfg = _load_run_config(config_path)
@@ -123,8 +115,7 @@ def fuse(method, claims_path, config_path, out_prefix, threads):
     iter_cfg = IterationConfig(init_quality=cfg.init_quality,
                                max_iterations=cfg.max_iterations,
                                accuracy_mode=cfg.accuracy_mode)
-    results, qualities, records = iterate(dataset, cfg.prior, backend, iter_cfg,
-                                          threads=threads)
+    results, qualities, records = iterate(dataset, cfg.prior, backend, iter_cfg)
     iterations = max((r.iteration for r in records), default=0)
     mio.write_probabilities(results, f"{out_prefix}.csv")
     mio.write_run_summary(f"{out_prefix}.json", method, iterations, qualities, report)

@@ -3,18 +3,39 @@ the command line."""
 
 from __future__ import annotations
 
-from .approx import approx_fuse
+from dataclasses import dataclass
+
+from .approx import approx_fuse, approx_fuse_dataset
 from .baselines import accu_fuse, majority_vote, precrec_fuse, twostep_fuse
-from .exact import exact_fuse
+from .exact import DEFAULT_CANDIDATE_CAP, exact_fuse
 from .quality import FusionBackend
 
 
-def _hybrid(claims, qualities, prior):
-    return approx_fuse(claims, qualities, prior, record_steps=False)
+@dataclass(frozen=True)
+class HybridBackend:
+    """The quadratic approximation: `approx_fuse` per item, and
+    `approx_fuse_dataset` when `iterate` fuses a whole dataset."""
+
+    prior_mode: str = "literal"
+
+    def __call__(self, claims, qualities, prior):
+        return approx_fuse(claims, qualities, prior, prior_mode=self.prior_mode,
+                           record_steps=False)
+
+    def fuse_dataset(self, index, qualities, prior, active=None):
+        return approx_fuse_dataset(index, qualities, prior, active, prior_mode=self.prior_mode)
 
 
-def _hybrid_exact(claims, qualities, prior):
-    return exact_fuse(claims, qualities, prior)
+@dataclass(frozen=True)
+class ExactBackend:
+    """Possible-world enumeration, item by item."""
+
+    prior_mode: str = "literal"
+    max_candidates: int = DEFAULT_CANDIDATE_CAP
+
+    def __call__(self, claims, qualities, prior):
+        return exact_fuse(claims, qualities, prior, max_candidates=self.max_candidates,
+                          prior_mode=self.prior_mode)
 
 
 def _accu(claims, qualities, prior):
@@ -26,8 +47,8 @@ def _majority(claims, qualities, prior):
 
 
 FUSION_BACKENDS: dict[str, FusionBackend] = {
-    "hybrid": _hybrid,
-    "hybrid-exact": _hybrid_exact,
+    "hybrid": HybridBackend(),
+    "hybrid-exact": ExactBackend(),
     "accu": _accu,
     "precrec": precrec_fuse,
     "twostep": twostep_fuse,
@@ -35,7 +56,16 @@ FUSION_BACKENDS: dict[str, FusionBackend] = {
 }
 
 
-def fusion_backend(name: str) -> FusionBackend:
+def fusion_backend(name: str, prior_mode: str = "literal",
+                   exact_candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> FusionBackend:
+    """The backend registered under `name`; the two hybrid backends take
+    the prior mode, and `hybrid-exact` the candidate cap too.  A backend
+    built here equals (and hashes like) its registry entry when the
+    settings are the defaults."""
+    if name == "hybrid":
+        return HybridBackend(prior_mode)
+    if name == "hybrid-exact":
+        return ExactBackend(prior_mode, exact_candidate_cap)
     try:
         return FUSION_BACKENDS[name]
     except KeyError:

@@ -79,8 +79,12 @@ class ClaimSet:
         """View of this item with only `active_sources` contributing
         observations.  The candidate universe is kept intact, so values
         provided solely by excluded sources remain candidates (with an
-        empty provider set)."""
-        active = set(active_sources)
+        empty provider set).  Returns this item itself when every one of
+        its sources is active."""
+        active = (active_sources if isinstance(active_sources, (set, frozenset))
+                  else set(active_sources))
+        if active.issuperset(self.per_source):
+            return self
         psi = {s: vs for s, vs in self.per_source.items() if s in active}
         providers = {v: frozenset(s for s in ps if s in active) for v, ps in self.providers.items()}
         return ClaimSet(item_id=self.item_id, per_source=psi,

@@ -9,34 +9,80 @@ probabilities of the source's own values against its precision.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
+import numpy as np
+
+from .index import ClaimIndex
 from .model import ClaimSet, FusionResult, PriorConfig, SourceQuality, derive_q
 
 log = logging.getLogger(__name__)
 
+# A backend fuses one item.  It may also offer a dataset-level entry,
+# `fuse_dataset(index, qualities, prior, active)`, returning every item's
+# result at once; `iterate` then calls that instead.
 FusionBackend = Callable[[ClaimSet, Mapping[Any, SourceQuality], PriorConfig], FusionResult]
 
+def source_metrics(index: ClaimIndex, results: Mapping[Any, FusionResult],
+                   accuracy_mode: str = "per-item") -> Tuple[List[float], List[float], List[float]]:
+    """Precision, recall and accuracy of every source of the index, in its
+    source order, from one pass over the pairs and claims.
 
-def _items_of(source: Any, dataset: Mapping[Any, ClaimSet]) -> List[Any]:
-    return [item for item, cs in dataset.items() if source in cs.per_source]
+    An item's truth mass is the exactly rounded sum of its probabilities,
+    and every other sum runs in index order, so the estimates do not
+    depend on the order of any dict or set.  Accuracy is nan where it is
+    undefined: a covered item with no truth mass ("per-item"), or zero
+    precision ("literal").
+    """
+    if accuracy_mode not in ("per-item", "literal"):
+        raise ValueError(f"unknown accuracy mode {accuracy_mode!r}")
+    mass = np.empty(len(index))
+    p: List[float] = []
+    bounds = index.cand_start.tolist()
+    for d, item in enumerate(index.items):
+        probs = results[item].probabilities
+        mass[d] = math.fsum(probs.values())
+        p.extend(probs.get(v, 0.0) for v in index.tokens[bounds[d]:bounds[d + 1]])
+    value_mass = np.bincount(index.claim_pair, weights=np.array(p)[index.claim_cand],
+                             minlength=len(index.pair_item))
+
+    n_sources = len(index.sources)
+    per_source = lambda x: np.bincount(index.pair_source, weights=x, minlength=n_sources)
+    n_pairs = per_source(None)
+    size = index.pair_size.astype(float)
+    mass = mass[index.pair_item]
+    precision = np.minimum(mass / size, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        recall = np.where(mass > 0, np.minimum(size / mass, 1.0), 1.0)
+        if accuracy_mode == "per-item":
+            accuracy = per_source(np.minimum(value_mass / size / precision, 1.0)) / n_pairs
+            accuracy[per_source(precision <= 0) > 0] = np.nan
+        precision = per_source(precision) / n_pairs
+        if accuracy_mode == "literal":
+            accuracy = np.minimum(per_source(value_mass) / per_source(size) / precision, 1.0)
+            accuracy[precision <= 0] = np.nan
+    return precision.tolist(), (per_source(recall) / n_pairs).tolist(), accuracy.tolist()
 
 
-def _truth_mass(result: FusionResult) -> float:
-    return sum(result.probabilities.values())
+def _source_metric(source: Any, dataset: Mapping[Any, ClaimSet],
+                   results: Mapping[Any, FusionResult], which: int,
+                   mode: str = "per-item") -> float:
+    index = ClaimIndex(dataset)
+    if source not in index.sources:
+        raise ValueError(f"source {source!r} provides no item")
+    value = source_metrics(index, results, mode)[which][index.sources.index(source)]
+    if math.isnan(value):
+        raise ValueError(f"accuracy undefined for zero-precision source {source!r}")
+    return value
 
 
 def update_precision(source: Any, dataset: Mapping[Any, ClaimSet],
                      results: Mapping[Any, FusionResult]) -> float:
     """Average, over the items the source covers, of (item truth mass /
     number of provided values), capped at 1."""
-    items = _items_of(source, dataset)
-    if not items:
-        raise ValueError(f"source {source!r} provides no item")
-    per_item = [min(_truth_mass(results[d]) / len(dataset[d].per_source[source]), 1.0)
-                for d in items]
-    return sum(per_item) / len(per_item)
+    return _source_metric(source, dataset, results, 0)
 
 
 def update_recall(source: Any, dataset: Mapping[Any, ClaimSet],
@@ -44,14 +90,7 @@ def update_recall(source: Any, dataset: Mapping[Any, ClaimSet],
     """Average, over covered items, of (number of provided values / item
     truth mass), capped at 1.  Items with no truth mass count as recall 1:
     the source cannot miss truths that do not exist."""
-    items = _items_of(source, dataset)
-    if not items:
-        raise ValueError(f"source {source!r} provides no item")
-    per_item = []
-    for d in items:
-        mass = _truth_mass(results[d])
-        per_item.append(1.0 if mass <= 0 else min(len(dataset[d].per_source[source]) / mass, 1.0))
-    return sum(per_item) / len(per_item)
+    return _source_metric(source, dataset, results, 1)
 
 
 def update_accuracy(source: Any, dataset: Mapping[Any, ClaimSet],
@@ -63,27 +102,7 @@ def update_accuracy(source: Any, dataset: Mapping[Any, ClaimSet],
     "per-item" divides by the item-level precision before averaging;
     "literal" divides the global value average by the global precision.
     """
-    items = _items_of(source, dataset)
-    if not items:
-        raise ValueError(f"source {source!r} provides no item")
-    if mode == "per-item":
-        per_item = []
-        for d in items:
-            values = dataset[d].per_source[source]
-            avg_p = sum(results[d].probabilities.get(v, 0.0) for v in values) / len(values)
-            prec = min(_truth_mass(results[d]) / len(values), 1.0)
-            if prec <= 0:
-                raise ValueError(f"accuracy undefined for zero-precision source {source!r}")
-            per_item.append(min(avg_p / prec, 1.0))
-        return sum(per_item) / len(per_item)
-    if mode == "literal":
-        probs = [results[d].probabilities.get(v, 0.0)
-                 for d in items for v in dataset[d].per_source[source]]
-        prec = update_precision(source, dataset, results)
-        if prec <= 0:
-            raise ValueError(f"accuracy undefined for zero-precision source {source!r}")
-        return min((sum(probs) / len(probs)) / prec, 1.0)
-    raise ValueError(f"unknown accuracy mode {mode!r}")
+    return _source_metric(source, dataset, results, 2, mode)
 
 
 def is_good_source(quality: SourceQuality, n: int) -> bool:
@@ -127,28 +146,19 @@ class IterationRecord:
     good: bool
 
 
-def _fuse_all(dataset: Mapping[Any, ClaimSet], qualities: Mapping[Any, SourceQuality],
-              prior: PriorConfig, fusion: FusionBackend, active: Optional[set],
-              threads: Optional[int] = None) -> Dict[Any, FusionResult]:
-    items = sorted(dataset, key=str)
-
-    def one(item):
-        cs = dataset[item]
-        if active is not None:
-            cs = cs.restrict(active)
-        return fusion(cs, qualities, prior)
-
-    if threads is None or threads <= 1:
-        return {item: one(item) for item in items}
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        fused = list(pool.map(one, items))
-    return dict(zip(items, fused))
+def _fuse_all(dataset: Mapping[Any, ClaimSet], index: ClaimIndex,
+              qualities: Mapping[Any, SourceQuality], prior: PriorConfig,
+              fusion: FusionBackend, active: Optional[set]) -> Dict[Any, FusionResult]:
+    fuse_dataset = getattr(fusion, "fuse_dataset", None)
+    if fuse_dataset is not None:
+        return fuse_dataset(index, qualities, prior, active)
+    return {item: fusion(dataset[item] if active is None else dataset[item].restrict(active),
+                         qualities, prior)
+            for item in index.items}
 
 
 def iterate(dataset: Mapping[Any, ClaimSet], prior: PriorConfig,
             fusion: FusionBackend, config: IterationConfig = IterationConfig(),
-            threads: Optional[int] = None,
             ) -> Tuple[Dict[Any, FusionResult], Dict[Any, SourceQuality], List[IterationRecord]]:
     """Alternate fusing every item with the current qualities and
     re-estimating every source's quality from the fused probabilities.
@@ -157,31 +167,32 @@ def iterate(dataset: Mapping[Any, ClaimSet], prior: PriorConfig,
     fusion round (their values stay candidates) but are re-tested every
     iteration.  Stops at `max_iterations` or when no quality moves more
     than the tolerance.  With max_iterations=0 this is a single fusion
-    pass at the initial qualities.
+    pass at the initial qualities.  Both halves of the loop run on one
+    `ClaimIndex` of the dataset.
     """
     if not dataset:
         raise ValueError("empty dataset")
-    sources = sorted({s for cs in dataset.values() for s in cs.per_source}, key=str)
+    index = ClaimIndex(dataset)
+    sources = index.sources
     qualities: Dict[Any, SourceQuality] = {s: config.init_quality for s in sources}
     records: List[IterationRecord] = []
 
     active: Optional[set] = None
-    results = _fuse_all(dataset, qualities, prior, fusion, active, threads)
+    results = _fuse_all(dataset, index, qualities, prior, fusion, active)
     for it in range(1, config.max_iterations + 1):
         new_qualities: Dict[Any, SourceQuality] = {}
         delta = 0.0
         good_sources = set()
-        for s in sources:
-            a = update_accuracy(s, dataset, results, mode=config.accuracy_mode)
+        precisions, recalls, accuracies = source_metrics(index, results, config.accuracy_mode)
+        for s, p, r, a in zip(sources, precisions, recalls, accuracies):
+            if math.isnan(a):
+                raise ValueError(f"accuracy undefined for zero-precision source {s!r}")
+            old = qualities[s]
             if config.update_slot_metrics:
-                p = update_precision(s, dataset, results)
-                r = update_recall(s, dataset, results)
                 q = derive_q(max(p, 1e-12), r, prior.alpha)
             else:
-                old = qualities[s]
                 p, r, q = old.precision, old.recall, old.false_positive_rate
             nq = SourceQuality(accuracy=a, recall=r, false_positive_rate=q, precision=p)
-            old = qualities[s]
             delta = max(delta, abs(p - old.precision), abs(r - old.recall),
                         abs(a - old.accuracy), abs(q - old.false_positive_rate))
             good = is_good_source(nq.clamped(), prior.n)
@@ -192,6 +203,7 @@ def iterate(dataset: Mapping[Any, ClaimSet], prior: PriorConfig,
                 good_sources.add(s)
             new_qualities[s] = nq
         qualities = new_qualities
+        del results  # only the next fusion's results are needed from here
         if config.filter_good:
             if good_sources:
                 active = good_sources
@@ -199,7 +211,7 @@ def iterate(dataset: Mapping[Any, ClaimSet], prior: PriorConfig,
                 log.warning("no source passes the good-source test at iteration %d; "
                             "fusing with all sources", it)
                 active = None
-        results = _fuse_all(dataset, qualities, prior, fusion, active, threads)
+        results = _fuse_all(dataset, index, qualities, prior, fusion, active)
         if delta < config.tolerance:
             log.debug("quality iteration converged at step %d (delta %.2g)", it, delta)
             break

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from multitruth import (
     ClaimSet,
     FusionError,
+    IterationConfig,
     PriorConfig,
     SourceQuality,
     VoteCountFixture,
@@ -19,11 +20,19 @@ from multitruth import (
     bot_vote_count,
     case_one_fixture,
     exact_fuse_from_votes,
+    claims_by_item,
     fixture_from_qualities,
+    generate,
+    iterate,
     verify_bound,
     vote_count,
+    SynthConfig,
+    UnknownSourceError,
 )
-from multitruth.approx import ERROR_BOUND
+from multitruth import approx
+from multitruth.approx import ERROR_BOUND, approx_fuse_dataset
+from multitruth.index import ClaimIndex
+from multitruth.methods import fusion_backend
 
 from conftest import random_instance
 
@@ -41,6 +50,16 @@ class TestVoteCount:
         q = {"s": SourceQuality(accuracy=1.0, recall=0.5, false_positive_rate=0.1)}
         with pytest.raises(FusionError, match="accuracy 1"):
             vote_count("v", ["s"], q, 10)
+
+    def test_provider_order_does_not_matter(self):
+        rng = np.random.default_rng(3)
+        q = {f"s{j}": SourceQuality(accuracy=float(rng.uniform(0.5, 0.99)), recall=0.5,
+                                    false_positive_rate=0.1) for j in range(12)}
+        providers = list(q)
+        first = vote_count("v", providers, q, 10)
+        for _ in range(5):
+            rng.shuffle(providers)
+            assert vote_count("v", providers, q, 10) == first
 
 
 class TestBotVoteCount:
@@ -234,3 +253,135 @@ class TestWorstCase:
         deviation = verify_bound(exact_fuse_from_votes(fixture),
                                  approx_fuse_from_votes(fixture, terminate=False))
         assert 0.16 < deviation < ERROR_BOUND
+
+
+class TestManySources:
+    # n*A/(1-A) = 90 per source at A = 0.9: 90**250 overflows a vote
+    # computed as a product
+    QUALITY = SourceQuality(accuracy=0.9, recall=0.9, false_positive_rate=0.1, precision=0.9)
+    PRIOR = PriorConfig(n=10, alpha=0.25, truth_count_dist={1: 0.5, 2: 0.5})
+
+    @staticmethod
+    def _valid(r):
+        return all(math.isfinite(p) and 0.0 <= p <= 1.0 for p in r.probabilities.values())
+
+    @pytest.mark.parametrize("n_sources", [250, 300, 1000])
+    def test_agreeing_sources_stay_finite(self, n_sources):
+        psi = {f"s{j:04d}": {"a"} for j in range(n_sources)}
+        r = approx_fuse(ClaimSet.from_claims("d", psi), {s: self.QUALITY for s in psi},
+                        self.PRIOR)
+        assert self._valid(r) and r.selected_truths == ["a"]
+        dataset = {d: ClaimSet.from_claims(d, psi) for d in ("d1", "d2")}
+        results, _, _ = iterate(dataset, self.PRIOR, fusion_backend("hybrid"),
+                                IterationConfig(init_quality=self.QUALITY))
+        assert all(self._valid(r) and r.selected_truths == ["a"] for r in results.values())
+
+    @pytest.mark.parametrize("n_sources", [250, 300, 1000])
+    def test_one_dissenting_source(self, n_sources):
+        psi = {f"s{j:04d}": {"a"} for j in range(n_sources)}
+        psi["t"] = {"b"}
+        qualities = {s: self.QUALITY for s in psi}
+        dataset = {d: ClaimSet.from_claims(d, psi) for d in ("d1", "d2")}
+        fused = approx_fuse_dataset(ClaimIndex(dataset), qualities, self.PRIOR)
+        results, _, _ = iterate(dataset, self.PRIOR, fusion_backend("hybrid"),
+                                IterationConfig(init_quality=self.QUALITY))
+        for r in [*fused.values(), *results.values()]:
+            assert self._valid(r) and r.selected_truths == ["a"]
+        if n_sources < 1000:
+            single = approx_fuse(dataset["d1"], qualities, self.PRIOR)
+            assert single.probabilities == pytest.approx(fused["d1"].probabilities, abs=1e-12)
+        else:
+            # 'b' and the step-2 stop vote lie over e^2000 below 'a': on
+            # one linear scale the step's denominator underflows, which
+            # the per-item loop reports instead of dividing by zero
+            with pytest.raises(FusionError, match="degenerate"):
+                approx_fuse(dataset["d1"], qualities, self.PRIOR)
+
+
+def _random_quality(rng):
+    fields = [float(x) for x in rng.uniform(0.0, 1.0, size=4)]
+    for j in range(4):
+        if rng.random() < 0.15:
+            fields[j] = float(rng.integers(0, 2))
+    a, r, q, p = fields
+    return SourceQuality(accuracy=a, recall=r, false_positive_rate=q, precision=p)
+
+
+def _random_dataset(rng):
+    cfg = SynthConfig(num_items=int(rng.integers(5, 30)),
+                      num_sources=int(rng.integers(1, 9)),
+                      false_domain_size=int(rng.integers(20, 60)),
+                      truth_count_mean=float(rng.uniform(1.0, 6.0)),
+                      extra_ratio=float(rng.uniform(0.0, 1.0)),
+                      source_accuracy=float(rng.uniform(0.3, 1.0)),
+                      source_recall=float(rng.uniform(0.3, 1.0)),
+                      rng_seed=int(rng.integers(1 << 30)))
+    return claims_by_item(generate(cfg)[0])
+
+
+def _random_prior(rng):
+    weights = rng.uniform(0.0, 1.0, size=int(rng.integers(1, 8)))
+    weights[0] += 0.05
+    return PriorConfig(n=int(rng.integers(1, 30)), alpha=float(rng.uniform(0.05, 0.9)),
+                       truth_count_dist={k + 1: float(w / weights.sum())
+                                         for k, w in enumerate(weights)})
+
+
+class TestDatasetPass:
+    """approx_fuse_dataset against the per-item approx_fuse it replaces
+    inside iterate."""
+
+    def test_matches_per_item_reference(self):
+        rng = np.random.default_rng(2031)
+        checked = 0
+        worst = 0.0
+        for _ in range(30):
+            dataset = _random_dataset(rng)
+            index = ClaimIndex(dataset)
+            qualities = {s: _random_quality(rng) for s in index.sources}
+            active = (None if rng.random() < 0.3
+                      else {s for s in index.sources if rng.random() < 0.7})
+            prior = _random_prior(rng)
+            mode = ("literal", "example-compatible")[int(rng.integers(2))]
+            fused = approx_fuse_dataset(index, qualities, prior, active, prior_mode=mode)
+            assert list(fused) == index.items
+            for item, cs in dataset.items():
+                ref = approx_fuse(cs if active is None else cs.restrict(active), qualities,
+                                  prior, prior_mode=mode, record_steps=False)
+                got = fused[item]
+                assert got.item_id == ref.item_id
+                assert set(got.selected_truths) == set(ref.selected_truths)
+                assert got.diagnostics.termination_step == ref.diagnostics.termination_step
+                assert got.probabilities.keys() == ref.probabilities.keys()
+                for v, p in got.probabilities.items():
+                    assert math.isfinite(p) and 0.0 <= p <= 1.0
+                    worst = max(worst, abs(p - ref.probabilities[v]))
+                assert got.diagnostics.bot_votes == pytest.approx(ref.diagnostics.bot_votes,
+                                                                  rel=1e-9, abs=1e-300)
+                checked += 1
+        print(f"  ({checked} items, worst difference {worst:.2g})")
+        assert checked >= 300
+        assert worst <= 1e-9
+
+    def test_blocks_do_not_change_results(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        dataset = _random_dataset(rng)
+        index = ClaimIndex(dataset)
+        qualities = {s: _random_quality(rng) for s in index.sources}
+        prior = _random_prior(rng)
+        whole = approx_fuse_dataset(index, qualities, prior)
+        monkeypatch.setattr(approx, "BLOCK_CELLS", 40)
+        assert repr(approx_fuse_dataset(index, qualities, prior)) == repr(whole)
+
+    def test_item_without_candidates_rejected(self, hockey_qualities, hockey_prior):
+        index = ClaimIndex({"d": ClaimSet.from_claims("d", {})})
+        with pytest.raises(ValueError, match="no candidate"):
+            approx_fuse_dataset(index, hockey_qualities, hockey_prior)
+
+    def test_unknown_active_source_rejected(self, hockey_claims, hockey_prior):
+        index = ClaimIndex({"d": hockey_claims})
+        q = SourceQuality(accuracy=0.6, recall=0.9, false_positive_rate=0.1)
+        with pytest.raises(UnknownSourceError):
+            approx_fuse_dataset(index, {"s1": q, "s2": q}, hockey_prior)
+        # an inactive source needs no quality entry
+        approx_fuse_dataset(index, {"s1": q, "s2": q}, hockey_prior, active={"s1", "s2"})

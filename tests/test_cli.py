@@ -7,7 +7,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from multitruth import PriorConfig, iterate
+from multitruth import io as mio
 from multitruth.cli import main
+from multitruth.methods import FUSION_BACKENDS, fusion_backend
 
 
 @pytest.fixture
@@ -99,6 +102,36 @@ class TestFuseEval:
                                       "--config", str(cfg), "--out", str(out)])
         assert result.exit_code == 0, result.output
         assert json.loads((tmp_path / "out.json").read_text())["iterations"] == 1
+
+    def test_fuse_matches_iterate_with_registry_backend(self, runner, tmp_path):
+        claims, _ = _synth(runner, tmp_path)
+        dataset, _ = mio.load_claims(claims)
+        written = {}
+        for mode in ("literal", "example-compatible"):
+            cfg = tmp_path / f"{mode}.json"
+            cfg.write_text(json.dumps({"prior_mode": mode}))
+            out = tmp_path / f"out-{mode}"
+            result = runner.invoke(main, ["fuse", "--method", "hybrid", "--claims", str(claims),
+                                          "--config", str(cfg), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            results, _, _ = iterate(dataset, PriorConfig(),
+                                    fusion_backend("hybrid", prior_mode=mode))
+            mio.write_probabilities(results, tmp_path / f"expected-{mode}.csv")
+            written[mode] = (tmp_path / f"out-{mode}.csv").read_bytes()
+            assert written[mode] == (tmp_path / f"expected-{mode}.csv").read_bytes()
+        assert written["literal"] != written["example-compatible"]
+
+    def test_registry_backends_are_the_configured_defaults(self):
+        for name, backend in FUSION_BACKENDS.items():
+            assert fusion_backend(name) == backend
+            assert hash(fusion_backend(name)) == hash(backend)
+        assert fusion_backend("hybrid", prior_mode="example-compatible") != FUSION_BACKENDS["hybrid"]
+
+    def test_fuse_has_no_threads_option(self, runner, tmp_path):
+        claims, _ = _synth(runner, tmp_path)
+        result = runner.invoke(main, ["fuse", "--method", "hybrid", "--claims", str(claims),
+                                      "--threads", "2", "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
 
     def test_invalid_run_config_key(self, runner, tmp_path):
         claims, _ = _synth(runner, tmp_path)

@@ -59,6 +59,11 @@ class TestClaimSet:
         assert sub.providers["boots"] == frozenset()
         assert sub.providers["helmet"] == {"s1"}
 
+    def test_restrict_to_every_source_is_identity(self, hockey_claims):
+        assert hockey_claims.restrict({"s1", "s2", "s3", "s9"}) is hockey_claims
+        assert hockey_claims.restrict(["s3", "s2", "s1"]) is hockey_claims
+        assert hockey_claims.restrict({"s1", "s2"}) is not hockey_claims
+
     def test_claims_by_item_groups_and_dedups(self):
         claims = [
             Claim("s1", "d1", "a"),

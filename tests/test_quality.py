@@ -1,8 +1,15 @@
 """Source-quality re-estimation and the alternating fusion loop."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
+
+import multitruth
 
 from multitruth import (
     ClaimSet,
@@ -16,8 +23,11 @@ from multitruth import (
     update_precision,
     update_recall,
 )
+from multitruth.index import ClaimIndex
 from multitruth.methods import fusion_backend
 from multitruth.model import FusionDiagnostics, claims_by_item, Claim
+from multitruth.quality import source_metrics
+from multitruth.synth import SynthConfig, generate
 
 
 def _result(item, probabilities):
@@ -186,10 +196,86 @@ class TestIterate:
         with pytest.raises(ValueError, match="empty"):
             iterate({}, self._prior(), fusion_backend("hybrid"))
 
-    def test_threads_do_not_change_results(self, small_dataset):
-        r1, q1, _ = iterate(small_dataset, self._prior(), fusion_backend("hybrid"))
-        r8, q8, _ = iterate(small_dataset, self._prior(), fusion_backend("hybrid"),
-                            threads=8)
-        assert q1 == q8
-        for d in small_dataset:
-            assert r1[d].probabilities == r8[d].probabilities
+
+# The per-source scans the one-pass update replaced, kept as its reference.
+
+def _scan(source, dataset, results, mode):
+    items = [d for d, cs in dataset.items() if source in cs.per_source]
+    mass = {d: sum(results[d].probabilities.values()) for d in items}
+    size = {d: len(dataset[d].per_source[source]) for d in items}
+    precision = sum(min(mass[d] / size[d], 1.0) for d in items) / len(items)
+    recall = sum(1.0 if mass[d] <= 0 else min(size[d] / mass[d], 1.0)
+                 for d in items) / len(items)
+    if mode == "per-item":
+        per_item = []
+        for d in items:
+            avg_p = sum(results[d].probabilities.get(v, 0.0)
+                        for v in dataset[d].per_source[source]) / size[d]
+            prec = min(mass[d] / size[d], 1.0)
+            per_item.append(float("nan") if prec <= 0 else min(avg_p / prec, 1.0))
+        accuracy = sum(per_item) / len(per_item)
+    else:
+        probs = [results[d].probabilities.get(v, 0.0)
+                 for d in items for v in dataset[d].per_source[source]]
+        accuracy = (float("nan") if precision <= 0
+                    else min(sum(probs) / len(probs) / precision, 1.0))
+    return precision, recall, accuracy
+
+
+class TestSourceMetrics:
+    def test_matches_per_source_scans(self):
+        rng = np.random.default_rng(8)
+        for trial in range(20):
+            cfg = SynthConfig(num_items=int(rng.integers(3, 40)),
+                              num_sources=int(rng.integers(1, 8)),
+                              rng_seed=int(rng.integers(1 << 30)))
+            dataset = claims_by_item(generate(cfg)[0])
+            results = {}
+            for d, cs in dataset.items():
+                probs = {v: float(rng.uniform()) * (rng.random() > 0.2) for v in cs.candidates}
+                if rng.random() < 0.05:
+                    probs = dict.fromkeys(probs, 0.0)  # no truth mass
+                results[d] = _result(d, probs)
+            index = ClaimIndex(dataset)
+            for mode in ("per-item", "literal"):
+                got = source_metrics(index, results, mode)
+                for j, s in enumerate(index.sources):
+                    want = _scan(s, dataset, results, mode)
+                    for g, w in zip((got[0][j], got[1][j], got[2][j]), want):
+                        assert g == pytest.approx(w, rel=1e-12, abs=1e-12, nan_ok=True)
+
+    def test_zero_precision_accuracy_rejected(self):
+        dataset = {"d": ClaimSet.from_claims("d", {"s": {"a"}})}
+        results = {"d": _result("d", {"a": 0.0})}
+        for mode in ("per-item", "literal"):
+            with pytest.raises(ValueError, match="zero-precision"):
+                update_accuracy("s", dataset, results, mode=mode)
+
+
+HASH_SEED_SCRIPT = """
+from multitruth import PriorConfig, claims_by_item, iterate
+from multitruth.methods import fusion_backend
+from multitruth.synth import SynthConfig, generate, truth_count_distribution
+
+cfg = SynthConfig(num_items=200, rng_seed=5)
+claims, _ = generate(cfg)
+prior = PriorConfig(n=10, alpha=0.25, truth_count_dist=truth_count_distribution(cfg))
+results, qualities, _ = iterate(claims_by_item(claims), prior, fusion_backend("hybrid"))
+print(repr(results))
+print(repr(qualities))
+"""
+
+
+def test_iterate_independent_of_hash_seed():
+    # set and frozenset iteration order follows the per-process hash seed;
+    # a float sum taken in that order changes in the last digits
+    src = str(Path(multitruth.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("FusionResult(") == 200
