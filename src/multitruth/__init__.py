@@ -41,7 +41,6 @@ from .model import (
     beta_at,
     claims_by_item,
     derive_q,
-    value_prior,
 )
 from .quality import (
     IterationConfig,
@@ -102,7 +101,6 @@ __all__ = [
     "update_accuracy",
     "update_precision",
     "update_recall",
-    "value_prior",
     "verify_bound",
     "vote_count",
 ]

@@ -116,6 +116,7 @@ def _run_steps(votes: Mapping[Any, float], bot_at: Callable[[int], float],
         tail[j] = tail[j + 1] + lv[j]
 
     p = [0.0] * m
+    inc = [0.0] * m  # the current step's increments
     bots: List[float] = []
     steps: Optional[List[StepTrace]] = [] if record_steps else None
     cut_step: Optional[int] = None
@@ -126,32 +127,22 @@ def _run_steps(votes: Mapping[Any, float], bot_at: Callable[[int], float],
         denom = tail[i - 1] + bot
         if denom <= 0:
             raise FusionError("degenerate votes: zero denominator")
-        if steps is not None:
-            inc: Dict[Any, float] = {}
-            for j in range(m):
-                c = lv[j] / denom
-                if c > 1.0:
-                    c = 1.0
-                d = (1.0 - p[j]) * c
-                p[j] += d
-                inc[order[j]] = d
-        else:
-            for j in range(m):
-                c = lv[j] / denom
-                if c > 1.0:
-                    c = 1.0
-                p[j] += (1.0 - p[j]) * c
+        for j in range(m):
+            c = lv[j] / denom
+            if c > 1.0:
+                c = 1.0
+            q = p[j]
+            d = inc[j] = (1.0 - q) * c
+            p[j] = q + d
         stop_here = bot > lv[i - 1]
         if steps is not None:
-            steps.append(StepTrace(step=i, bot_vote=bot, increments=inc,
+            steps.append(StepTrace(step=i, bot_vote=bot, increments=dict(zip(order, inc)),
                                    terminated=stop_here))
         if stop_here and cut_step is None:
             cut_step = i
             if terminate:
                 last_step = i
                 break
-    else:
-        last_step = m
 
     if cut_step is None:
         truths = list(order)
@@ -204,9 +195,9 @@ def _shifted_exp(x: float) -> float:
 
 
 def approx_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
-                prior: PriorConfig, prior_mode: str = "literal",
-                terminate: bool = True, record_steps: bool = True) -> FusionResult:
-    """Approximate fusion of one item from source qualities.
+                prior: PriorConfig, prior_mode: str = "literal") -> FusionResult:
+    """Approximate fusion of one item from source qualities (no step
+    trace is recorded).
 
     The step loop runs on every vote divided by the largest one (the stop
     votes in the diagnostics are on that scale too), so no number of
@@ -234,8 +225,7 @@ def approx_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
         return _shifted_exp(total - top)
 
     votes = {v: math.exp(lv - top) for v, lv in log_votes.items()}
-    return _run_steps(votes, bot, "hybrid", claims.item_id,
-                      terminate=terminate, record_steps=record_steps)
+    return _run_steps(votes, bot, "hybrid", claims.item_id, record_steps=False)
 
 
 # Cells (items x candidates) of one block of the dataset pass: bounds the
@@ -247,8 +237,8 @@ BLOCK_CELLS = 1 << 14
 def approx_fuse_dataset(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
                         prior: PriorConfig, active: Optional[Iterable[Any]] = None,
                         prior_mode: str = "literal") -> Dict[Any, FusionResult]:
-    """`approx_fuse` (with `record_steps` off) on every item of the index,
-    with only the `active` sources (all if None) contributing.
+    """`approx_fuse` on every item of the index, with only the `active`
+    sources (all if None) contributing.
 
     One pass: each quality is clamped once, the log votes and log stop
     votes are sums over the claim arrays in source order, and the step

@@ -31,17 +31,10 @@ _CONFIG_KEYS = {
 }
 
 
-@dataclasses.dataclass
-class RunConfig:
-    prior: PriorConfig
-    init_quality: SourceQuality
-    max_iterations: int = 5
-    prior_mode: str = "literal"
-    accuracy_mode: str = "per-item"
-    exact_candidate_cap: int = DEFAULT_CANDIDATE_CAP
-
-
-def _load_run_config(path) -> RunConfig:
+def _load_run_config(path, method: str):
+    """The prior, the fusion backend for `method` and the iteration
+    settings a JSON run configuration gives (defaults where it is
+    absent)."""
     raw = {}
     if path is not None:
         try:
@@ -51,42 +44,35 @@ def _load_run_config(path) -> RunConfig:
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise click.UsageError(f"invalid config keys: {sorted(unknown)}")
+    defaults = IterationConfig()
     try:
         dist = raw.get("truth_count_dist")
-        prior_kwargs = {
-            "n": raw.get("n", 10),
-            "alpha": raw.get("alpha", 0.25),
-        }
+        prior_kwargs = {k: raw[k] for k in ("n", "alpha") if k in raw}
         if dist is not None:
             prior_kwargs["truth_count_dist"] = {int(k): float(p) for k, p in dist.items()}
         prior = PriorConfig(**prior_kwargs)
-        iq = raw.get("init_quality", {})
+        iq, base = raw.get("init_quality", {}), defaults.init_quality
         init_quality = SourceQuality(
-            accuracy=iq.get("A", 0.8),
-            recall=iq.get("R", 0.8),
-            false_positive_rate=iq.get("Q", 0.2),
-            precision=iq.get("P", 0.8),
+            accuracy=iq.get("A", base.accuracy),
+            recall=iq.get("R", base.recall),
+            false_positive_rate=iq.get("Q", base.false_positive_rate),
+            precision=iq.get("P", base.precision),
         )
     except ValueError as exc:
         raise click.UsageError(f"invalid config: {exc}")
-    cfg = RunConfig(prior=prior, init_quality=init_quality)
-    cfg.max_iterations = int(raw.get("max_iterations", cfg.max_iterations))
-    cfg.prior_mode = raw.get("prior_mode", cfg.prior_mode)
-    cfg.accuracy_mode = raw.get("accuracy_mode", cfg.accuracy_mode)
-    cfg.exact_candidate_cap = int(raw.get("exact_candidate_cap", cfg.exact_candidate_cap))
-    if cfg.prior_mode not in ("literal", "example-compatible"):
-        raise click.UsageError(f"invalid prior_mode {cfg.prior_mode!r}")
-    if cfg.accuracy_mode not in ("per-item", "literal"):
-        raise click.UsageError(f"invalid accuracy_mode {cfg.accuracy_mode!r}")
-    return cfg
-
-
-def _backend_for(method: str, cfg: RunConfig):
-    try:
-        return fusion_backend(method, prior_mode=cfg.prior_mode,
-                              exact_candidate_cap=cfg.exact_candidate_cap)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    max_iterations = int(raw.get("max_iterations", defaults.max_iterations))
+    prior_mode = raw.get("prior_mode", "literal")
+    accuracy_mode = raw.get("accuracy_mode", defaults.accuracy_mode)
+    exact_candidate_cap = int(raw.get("exact_candidate_cap", DEFAULT_CANDIDATE_CAP))
+    if prior_mode not in ("literal", "example-compatible"):
+        raise click.UsageError(f"invalid prior_mode {prior_mode!r}")
+    if accuracy_mode not in ("per-item", "literal"):
+        raise click.UsageError(f"invalid accuracy_mode {accuracy_mode!r}")
+    backend = fusion_backend(method, prior_mode=prior_mode,
+                             exact_candidate_cap=exact_candidate_cap)
+    return prior, backend, IterationConfig(init_quality=init_quality,
+                                           max_iterations=max_iterations,
+                                           accuracy_mode=accuracy_mode)
 
 
 @click.group()
@@ -109,13 +95,9 @@ def main():
 def fuse(method, claims_path, config_path, out_prefix):
     """Fuse a claims file and write per-value probabilities plus a run
     summary."""
-    cfg = _load_run_config(config_path)
+    prior, backend, iter_cfg = _load_run_config(config_path, method)
     dataset, report = mio.load_claims(claims_path)
-    backend = _backend_for(method, cfg)
-    iter_cfg = IterationConfig(init_quality=cfg.init_quality,
-                               max_iterations=cfg.max_iterations,
-                               accuracy_mode=cfg.accuracy_mode)
-    results, qualities, records = iterate(dataset, cfg.prior, backend, iter_cfg)
+    results, qualities, records = iterate(dataset, prior, backend, iter_cfg)
     iterations = max((r.iteration for r in records), default=0)
     mio.write_probabilities(results, f"{out_prefix}.csv")
     mio.write_run_summary(f"{out_prefix}.json", method, iterations, qualities, report)

@@ -10,7 +10,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from .errors import ParseError
 from .model import (
@@ -80,28 +80,22 @@ def _iter_claim_rows(path: Path, fmt: str):
 
 
 def load_claims(path, fmt: Optional[str] = None) -> Tuple[Dict[Any, ClaimSet], LoadReport]:
-    """Read claims grouped into per-item ClaimSets; duplicate triples are
-    collapsed and counted in the report."""
+    """Read claims grouped into per-item ClaimSets; duplicate triples
+    (equal once values are normalized) collapse in the grouping and are
+    counted in the report."""
     path = Path(path)
     fmt = _detect_format(path, fmt)
-    seen = set()
-    claims: List[Claim] = []
-    n_rows = 0
-    n_dup = 0
-    for _, source, item, value in _iter_claim_rows(path, fmt):
-        n_rows += 1
-        triple = (source, item, normalize_value(value))
-        if triple in seen:
-            n_dup += 1
-            continue
-        seen.add(triple)
-        claims.append(Claim(source_id=source, item_id=item, value=triple[2]))
+    claims = [Claim(source_id=source, item_id=item, value=value)
+              for _, source, item, value in _iter_claim_rows(path, fmt)]
     if not claims:
         raise ParseError(f"no claims found in {path}")
-    report = LoadReport(n_rows=n_rows, n_claims=len(claims), n_duplicates=n_dup)
-    if n_dup:
-        log.info("deduplicated %d repeated claim rows in %s", n_dup, path)
-    return claims_by_item(claims), report
+    dataset = claims_by_item(claims)
+    n_claims = sum(len(vs) for cs in dataset.values() for vs in cs.per_source.values())
+    report = LoadReport(n_rows=len(claims), n_claims=n_claims,
+                        n_duplicates=len(claims) - n_claims)
+    if report.n_duplicates:
+        log.info("deduplicated %d repeated claim rows in %s", report.n_duplicates, path)
+    return dataset, report
 
 
 def load_gold(path) -> GoldStandard:

@@ -19,8 +19,7 @@ class HybridBackend:
     prior_mode: str = "literal"
 
     def __call__(self, claims, qualities, prior):
-        return approx_fuse(claims, qualities, prior, prior_mode=self.prior_mode,
-                           record_steps=False)
+        return approx_fuse(claims, qualities, prior, prior_mode=self.prior_mode)
 
     def fuse_dataset(self, index, qualities, prior, active=None):
         return approx_fuse_dataset(index, qualities, prior, active, prior_mode=self.prior_mode)

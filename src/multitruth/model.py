@@ -7,9 +7,10 @@ whitespace-trimmed and NFC-normalized on ingestion.  No fuzzy matching.
 from __future__ import annotations
 
 import logging
+import math
 import unicodedata
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -192,16 +193,6 @@ def beta_at(prior: PriorConfig, i: int) -> float:
     return min(b, BETA_CAP)
 
 
-def slot_prior(beta: float, candidate_count: int, i: int) -> float:
-    """A-priori probability of one particular unselected value being the
-    i-th truth, splitting the non-stop mass evenly over the remaining
-    candidate slots."""
-    remaining = candidate_count - i + 1
-    if remaining < 1:
-        raise ValueError("no remaining candidate slot")
-    return (1.0 - beta) / remaining
-
-
 def prior_slot_count(candidate_count: int, i: int, prior_mode: str = "literal") -> int:
     """Number of slots the non-stop prior mass is split over at step i.
 
@@ -215,14 +206,6 @@ def prior_slot_count(candidate_count: int, i: int, prior_mode: str = "literal") 
     if prior_mode == "example-compatible":
         return candidate_count - i + 2
     raise ValueError(f"unknown prior mode {prior_mode!r}")
-
-
-def value_prior(prior: PriorConfig, candidate_count: int, i: int) -> float:
-    """Literal per-value prior at step i (i = one plus the number of values
-    already selected)."""
-    if not 1 <= i <= candidate_count:
-        raise ValueError("step index out of range")
-    return slot_prior(beta_at(prior, i), candidate_count, i)
 
 
 @dataclass
@@ -282,9 +265,13 @@ class VoteCountFixture:
         for v, l in self.votes.items():
             if not l > 0:
                 raise ValueError(f"vote count for {v!r} must be positive")
+            if not math.isfinite(l):
+                raise ValueError(f"vote count for {v!r} must be finite")
         for l in self.bot_votes:
             if l < 0:
                 raise ValueError("stop votes must be non-negative")
+            if not math.isfinite(l):
+                raise ValueError("stop votes must be finite")
 
     def bot_at(self, i: int) -> float:
         """Stop vote at step i (1-based); steps past the given sequence

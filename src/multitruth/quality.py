@@ -126,7 +126,6 @@ class IterationConfig:
     max_iterations: int = 5
     tolerance: float = 1e-4
     accuracy_mode: str = "per-item"
-    filter_good: bool = True
     # Precision, recall, and the false-positive rate are estimated from an
     # item's probabilistic truth mass.  Backends that normalize each item's
     # probabilities to a single truth pin that mass to 1, so the estimates
@@ -177,8 +176,7 @@ def iterate(dataset: Mapping[Any, ClaimSet], prior: PriorConfig,
     qualities: Dict[Any, SourceQuality] = {s: config.init_quality for s in sources}
     records: List[IterationRecord] = []
 
-    active: Optional[set] = None
-    results = _fuse_all(dataset, index, qualities, prior, fusion, active)
+    results = _fuse_all(dataset, index, qualities, prior, fusion, None)
     for it in range(1, config.max_iterations + 1):
         new_qualities: Dict[Any, SourceQuality] = {}
         delta = 0.0
@@ -204,14 +202,10 @@ def iterate(dataset: Mapping[Any, ClaimSet], prior: PriorConfig,
             new_qualities[s] = nq
         qualities = new_qualities
         del results  # only the next fusion's results are needed from here
-        if config.filter_good:
-            if good_sources:
-                active = good_sources
-            else:
-                log.warning("no source passes the good-source test at iteration %d; "
-                            "fusing with all sources", it)
-                active = None
-        results = _fuse_all(dataset, index, qualities, prior, fusion, active)
+        if not good_sources:
+            log.warning("no source passes the good-source test at iteration %d; "
+                        "fusing with all sources", it)
+        results = _fuse_all(dataset, index, qualities, prior, fusion, good_sources or None)
         if delta < config.tolerance:
             log.debug("quality iteration converged at step %d (delta %.2g)", it, delta)
             break

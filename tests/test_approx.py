@@ -160,8 +160,7 @@ class TestApproxFuse:
             approx_fuse(claims, hockey_qualities, hockey_prior)
 
     def test_record_steps_off(self, hockey_claims, hockey_qualities, hockey_prior):
-        r = approx_fuse(hockey_claims, hockey_qualities, hockey_prior,
-                        record_steps=False)
+        r = approx_fuse(hockey_claims, hockey_qualities, hockey_prior)
         assert r.diagnostics.steps is None
 
     def test_extreme_qualities_clamped_not_fatal(self, hockey_claims, hockey_prior):
@@ -297,6 +296,15 @@ class TestManySources:
             with pytest.raises(FusionError, match="degenerate"):
                 approx_fuse(dataset["d1"], qualities, self.PRIOR)
 
+    def test_vote_fixture_refuses_overflowed_votes(self):
+        # the fixture's votes are linear-domain products: 90**250 is inf,
+        # which the step loop would turn into nan probabilities
+        psi = {f"s{j:04d}": {"a"} for j in range(250)}
+        psi["t"] = {"b"}
+        claims = ClaimSet.from_claims("d", psi)
+        with pytest.raises(ValueError, match="finite"):
+            fixture_from_qualities(claims, {s: self.QUALITY for s in psi}, self.PRIOR)
+
 
 def _random_quality(rng):
     fields = [float(x) for x in rng.uniform(0.0, 1.0, size=4)]
@@ -347,7 +355,7 @@ class TestDatasetPass:
             assert list(fused) == index.items
             for item, cs in dataset.items():
                 ref = approx_fuse(cs if active is None else cs.restrict(active), qualities,
-                                  prior, prior_mode=mode, record_steps=False)
+                                  prior, prior_mode=mode)
                 got = fused[item]
                 assert got.item_id == ref.item_id
                 assert set(got.selected_truths) == set(ref.selected_truths)

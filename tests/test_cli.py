@@ -7,7 +7,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from multitruth import PriorConfig, iterate
+from multitruth import InstanceTooLargeError, IterationConfig, PriorConfig, iterate
 from multitruth import io as mio
 from multitruth.cli import main
 from multitruth.methods import FUSION_BACKENDS, fusion_backend
@@ -106,20 +106,46 @@ class TestFuseEval:
     def test_fuse_matches_iterate_with_registry_backend(self, runner, tmp_path):
         claims, _ = _synth(runner, tmp_path)
         dataset, _ = mio.load_claims(claims)
+        cases = {
+            "literal": ({"prior_mode": "literal"}, "literal", IterationConfig()),
+            "example-compatible": ({"prior_mode": "example-compatible"},
+                                   "example-compatible", IterationConfig()),
+            "accuracy-literal": ({"accuracy_mode": "literal"}, "literal",
+                                 IterationConfig(accuracy_mode="literal")),
+        }
         written = {}
-        for mode in ("literal", "example-compatible"):
-            cfg = tmp_path / f"{mode}.json"
-            cfg.write_text(json.dumps({"prior_mode": mode}))
-            out = tmp_path / f"out-{mode}"
+        for name, (config, prior_mode, iter_cfg) in cases.items():
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(config))
+            out = tmp_path / f"out-{name}"
             result = runner.invoke(main, ["fuse", "--method", "hybrid", "--claims", str(claims),
                                           "--config", str(cfg), "--out", str(out)])
             assert result.exit_code == 0, result.output
             results, _, _ = iterate(dataset, PriorConfig(),
-                                    fusion_backend("hybrid", prior_mode=mode))
-            mio.write_probabilities(results, tmp_path / f"expected-{mode}.csv")
-            written[mode] = (tmp_path / f"out-{mode}.csv").read_bytes()
-            assert written[mode] == (tmp_path / f"expected-{mode}.csv").read_bytes()
-        assert written["literal"] != written["example-compatible"]
+                                    fusion_backend("hybrid", prior_mode=prior_mode), iter_cfg)
+            mio.write_probabilities(results, tmp_path / f"expected-{name}.csv")
+            written[name] = (tmp_path / f"out-{name}.csv").read_bytes()
+            assert written[name] == (tmp_path / f"expected-{name}.csv").read_bytes()
+        assert len(set(written.values())) == len(cases)
+
+    def test_exact_candidate_cap_reaches_the_backend(self, runner, tmp_path):
+        synth_cfg = tmp_path / "synth.json"
+        synth_cfg.write_text(json.dumps({
+            "num_items": 12, "num_sources": 6, "truth_count_max": 2, "false_domain_size": 4,
+            "extra_ratio": 0.6, "source_accuracy": 0.9, "source_recall": 0.9}))
+        claims, _ = _synth(runner, tmp_path, extra=["--config", str(synth_cfg)])
+        cfg = tmp_path / "run.json"
+
+        def fuse(config):
+            cfg.write_text(json.dumps(config))
+            return runner.invoke(main, ["fuse", "--method", "hybrid-exact", "--claims",
+                                        str(claims), "--config", str(cfg),
+                                        "--out", str(tmp_path / "o")])
+
+        dist = {"truth_count_dist": {"1": 0.5, "2": 0.5}}
+        assert fuse(dist).exit_code == 0
+        assert isinstance(fuse({**dist, "exact_candidate_cap": 3}).exception,
+                          InstanceTooLargeError)
 
     def test_registry_backends_are_the_configured_defaults(self):
         for name, backend in FUSION_BACKENDS.items():
@@ -136,12 +162,15 @@ class TestFuseEval:
     def test_invalid_run_config_key(self, runner, tmp_path):
         claims, _ = _synth(runner, tmp_path)
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"nope": 1}))
-        result = runner.invoke(main, ["fuse", "--method", "hybrid",
-                                      "--claims", str(claims),
-                                      "--config", str(cfg), "--out", "o"])
-        assert result.exit_code == 2
-        assert "invalid config keys" in result.output
+        for config, message in (({"nope": 1}, "invalid config keys"),
+                                ({"prior_mode": "bogus"}, "invalid prior_mode 'bogus'"),
+                                ({"accuracy_mode": "bogus"}, "invalid accuracy_mode 'bogus'")):
+            cfg.write_text(json.dumps(config))
+            result = runner.invoke(main, ["fuse", "--method", "hybrid",
+                                          "--claims", str(claims),
+                                          "--config", str(cfg), "--out", "o"])
+            assert result.exit_code == 2
+            assert message in result.output
 
     def test_missing_claims_file(self, runner):
         result = runner.invoke(main, ["fuse", "--method", "hybrid",

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from multitruth import Claim, GoldStandard, ParseError
+from multitruth import Claim, ClaimSet, GoldStandard, ParseError
 from multitruth import io as mio
 from multitruth.model import FusionDiagnostics, FusionResult
 
@@ -32,10 +32,16 @@ class TestLoadClaims:
 
     def test_duplicates_collapse(self, tmp_path):
         path = tmp_path / "claims.csv"
-        path.write_text("source_id,item_id,value\ns1,d1,a\ns1,d1, a \n")
+        # an exact repeat, a repeat up to whitespace, and an NFC-composed
+        # and a decomposed spelling of the same value
+        path.write_text("source_id,item_id,value\ns1,d1,a\ns1,d1, a \ns1,d1,a\n"
+                        "s2,d1,caf\u00e9\ns2,d1,cafe\u0301\ns2,d2,a\n", encoding="utf-8")
         dataset, report = mio.load_claims(path)
-        assert report.n_duplicates == 1
-        assert dataset["d1"].per_source["s1"] == {"a"}
+        assert (report.n_rows, report.n_claims, report.n_duplicates) == (6, 3, 3)
+        assert dataset == {
+            "d1": ClaimSet.from_claims("d1", {"s1": {"a"}, "s2": {"caf\u00e9"}}),
+            "d2": ClaimSet.from_claims("d2", {"s2": {"a"}}),
+        }
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "claims.csv"

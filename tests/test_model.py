@@ -15,13 +15,11 @@ from multitruth import (
     beta_at,
     claims_by_item,
     derive_q,
-    value_prior,
 )
 from multitruth.model import (
     BETA_CAP,
     normalize_value,
     prior_slot_count,
-    slot_prior,
     sort_values,
 )
 
@@ -154,23 +152,11 @@ class TestBetaSchedule:
 
 
 class TestPriors:
-    def test_slot_prior_splits_mass(self):
-        assert slot_prior(0.3, 4, 1) == pytest.approx(0.7 / 4)
-        assert slot_prior(0.3, 4, 4) == pytest.approx(0.7)
-        with pytest.raises(ValueError):
-            slot_prior(0.3, 4, 6)
-
     def test_prior_slot_count_modes(self):
         assert prior_slot_count(4, 2, "literal") == 3
         assert prior_slot_count(4, 2, "example-compatible") == 4
         with pytest.raises(ValueError, match="prior mode"):
             prior_slot_count(4, 2, "bogus")
-
-    def test_value_prior(self):
-        prior = PriorConfig(truth_count_dist={1: 0.3, 2: 0.4, 3: 0.3})
-        assert value_prior(prior, 4, 2) == pytest.approx(0.7 / 3)
-        with pytest.raises(ValueError):
-            value_prior(prior, 4, 5)
 
 
 class TestVoteCountFixture:
@@ -181,6 +167,10 @@ class TestVoteCountFixture:
             VoteCountFixture(votes={"a": 0.0}, bot_votes=[1.0])
         with pytest.raises(ValueError, match="non-negative"):
             VoteCountFixture(votes={"a": 1.0}, bot_votes=[-1.0])
+        with pytest.raises(ValueError, match="finite"):
+            VoteCountFixture(votes={"a": 1.0, "b": math.inf}, bot_votes=[1.0])
+        with pytest.raises(ValueError, match="finite"):
+            VoteCountFixture(votes={"a": 1.0}, bot_votes=[0.5, math.inf])
 
     def test_bot_at_reuses_last(self):
         f = VoteCountFixture(votes={"a": 1.0, "b": 2.0, "c": 3.0}, bot_votes=[0.5, 4.0])
