@@ -41,8 +41,6 @@ from .model import (
 
 ERROR_BOUND = 1.0 / 6.0
 
-QUALITY_CLAMP = 1e-6
-
 
 def vote_count(value: Any, providers: Iterable[Any],
                qualities: Mapping[Any, SourceQuality], n: int) -> float:
@@ -164,8 +162,8 @@ def _run_steps(votes: Mapping[Any, float], bot_at: Callable[[int], float],
 
 def _log_terms(qualities: Mapping[Any, SourceQuality], sources: Iterable[Any],
                n: int) -> Dict[Any, Tuple[float, float, float]]:
-    """Per-source log terms of the votes, from the quality clamped into
-    [QUALITY_CLAMP, 1 - QUALITY_CLAMP]; the hybrid's only clamp site.
+    """Per-source log terms of the votes, from the clamped quality; the
+    hybrid's only clamp site.
 
     Returns (log n*A/(1-A), the log stop term while the source provided
     more values than are selected, the log stop term once it did not)."""
@@ -173,7 +171,7 @@ def _log_terms(qualities: Mapping[Any, SourceQuality], sources: Iterable[Any],
     for s in sources:
         if s not in qualities:
             raise UnknownSourceError(f"unknown source {s!r}: no quality entry")
-        q = qualities[s].clamped(QUALITY_CLAMP)
+        q = qualities[s].clamped()
         a, r, f = q.accuracy, q.recall, q.false_positive_rate
         terms[s] = (math.log(n * a / (1.0 - a)),
                     math.log(f / (r * (1.0 - a))),
@@ -389,8 +387,9 @@ def fixture_from_qualities(claims: ClaimSet, qualities: Mapping[Any, SourceQuali
                            prior: PriorConfig, prior_mode: str = "literal") -> VoteCountFixture:
     """Materialize the vote counts an instance induces, enabling the
     vote-injection backends to replay it."""
-    clamped = {s: q.clamped(QUALITY_CLAMP) for s, q in qualities.items()}
-    votes = {v: vote_count(v, claims.providers.get(v, ()), clamped, prior.n)
+    clamped = {s: q.clamped() for s, q in qualities.items()}
+    votes = {v: vote_count(v, [s for s, vs in claims.per_source.items() if v in vs],
+                           clamped, prior.n)
              for v in claims.candidates}
     bots = [bot_vote_count(claims, clamped, prior, i, i - 1, prior_mode)
             for i in range(1, len(votes) + 1)]

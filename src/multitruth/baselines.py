@@ -6,6 +6,7 @@ count-then-pick baseline.
 from __future__ import annotations
 
 import logging
+import math
 from typing import Any, Mapping
 
 from .model import (
@@ -14,42 +15,46 @@ from .model import (
     FusionResult,
     PriorConfig,
     SourceQuality,
+    clamp,
 )
 
 log = logging.getLogger(__name__)
-
-_CLAMP = 1e-6
 
 
 def majority_vote(claims: ClaimSet) -> FusionResult:
     """Single truth = the value with the most providers; the reported
     per-value numbers are provider counts scaled by the winner's count
-    (diagnostic only, not calibrated probabilities)."""
+    (diagnostic only, not calibrated; all 1 when no source is active)."""
     if not claims.candidates:
         raise ValueError(f"item {claims.item_id!r} has no candidate value")
-    counts = {v: len(claims.providers[v]) for v in claims.candidates}
+    counts = dict.fromkeys(claims.candidates, 0)
+    for values in claims.per_source.values():
+        for v in values:
+            counts[v] += 1
     top = max(counts.values())
     winners = sorted((v for v, c in counts.items() if c == top), key=str)
     diag = FusionDiagnostics(method="majority")
+    if not claims.per_source:
+        diag.notes.append(f"no active source provided item {claims.item_id!r}")
     if len(winners) > 1:
         diag.notes.append(f"tie among {winners}; selected {winners[0]!r} lexicographically")
         log.debug("majority tie on item %r: %s", claims.item_id, winners)
     return FusionResult(
         item_id=claims.item_id,
-        probabilities={v: c / top for v, c in counts.items()},
+        probabilities={v: c / top if top else 1.0 for v, c in counts.items()},
         selected_truths=[winners[0]],
         diagnostics=diag,
     )
 
 
 def _accuracy_votes(claims: ClaimSet, qualities: Mapping[Any, SourceQuality], n: int):
-    votes = {}
-    for v in claims.candidates:
-        total = 1.0
-        for s in claims.providers.get(v, ()):
-            a = min(max(qualities[s].accuracy, _CLAMP), 1.0 - _CLAMP)
-            total *= n * a / (1.0 - a)
-        votes[v] = total
+    """Each value's product of n*A/(1-A) over its providers, in source order."""
+    votes = dict.fromkeys(claims.candidates, 1.0)
+    for s in sorted(claims.per_source, key=str):
+        a = clamp(qualities[s].accuracy)
+        factor = n * a / (1.0 - a)
+        for v in claims.per_source[s]:
+            votes[v] *= factor
     return votes
 
 
@@ -59,7 +64,7 @@ def accu_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality], n: int) 
     if not claims.candidates:
         raise ValueError(f"item {claims.item_id!r} has no candidate value")
     votes = _accuracy_votes(claims, qualities, n)
-    total = sum(votes.values())
+    total = math.fsum(votes.values())
     probabilities = {v: l / total for v, l in votes.items()}
     ranked = sorted(probabilities, key=lambda v: (-probabilities[v], str(v)))
     diag = FusionDiagnostics(method="accu")
@@ -78,19 +83,16 @@ def precrec_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
     a value is true when its probability clears 0.5."""
     if not claims.candidates:
         raise ValueError(f"item {claims.item_id!r} has no candidate value")
-    alpha = prior.alpha
+    terms = []
+    for s, values in claims.per_source.items():
+        r, fp = clamp(qualities[s].recall), clamp(qualities[s].false_positive_rate)
+        terms.append((values, r / fp, (1.0 - r) / (1.0 - fp)))
+    prior_odds = prior.alpha / (1.0 - prior.alpha)
     probabilities = {}
     for v in claims.candidates:
-        odds = alpha / (1.0 - alpha)
-        providers = claims.providers.get(v, frozenset())
-        for s in claims.per_source:
-            q = qualities[s]
-            r = min(max(q.recall, _CLAMP), 1.0 - _CLAMP)
-            fp = min(max(q.false_positive_rate, _CLAMP), 1.0 - _CLAMP)
-            if s in providers:
-                odds *= r / fp
-            else:
-                odds *= (1.0 - r) / (1.0 - fp)
+        odds = prior_odds
+        for values, provided, abstained in terms:
+            odds *= provided if v in values else abstained
         probabilities[v] = odds / (1.0 + odds)
     selected = sorted((v for v, p in probabilities.items() if p > 0.5),
                       key=lambda v: (-probabilities[v], str(v)))
@@ -106,18 +108,20 @@ def twostep_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
     single-truth fusion over the real values."""
     if not claims.candidates:
         raise ValueError(f"item {claims.item_id!r} has no candidate value")
-    cardinalities = ClaimSet.from_claims(
-        (claims.item_id, "#truths"),
-        {s: [len(vs)] for s, vs in claims.per_source.items()})
-    n_card = max(len(vs) for vs in claims.per_source.values())
-    card_result = accu_fuse(cardinalities, qualities, n_card)
-    top_p = max(card_result.probabilities.values())
-    tied = sorted(k for k, p in card_result.probabilities.items()
-                  if p == top_p)
-    k = tied[0]
     diag = FusionDiagnostics(method="twostep")
-    if len(tied) > 1:
-        diag.notes.append(f"truth-count tie among {tied}; selected smallest k={k}")
+    if not claims.per_source:
+        k = 1
+        diag.notes.append(f"no active source provided item {claims.item_id!r}; k=1")
+    else:
+        cardinalities = ClaimSet.from_claims((claims.item_id, "#truths"),
+                                             {s: [len(vs)] for s, vs in claims.per_source.items()})
+        n_card = max(len(vs) for vs in claims.per_source.values())
+        card_result = accu_fuse(cardinalities, qualities, n_card)
+        top_p = max(card_result.probabilities.values())
+        tied = sorted(k for k, p in card_result.probabilities.items() if p == top_p)
+        k = tied[0]
+        if len(tied) > 1:
+            diag.notes.append(f"truth-count tie among {tied}; selected smallest k={k}")
     value_result = accu_fuse(claims, qualities, prior.n)
     ranked = sorted(value_result.probabilities,
                     key=lambda v: (-value_result.probabilities[v], str(v)))

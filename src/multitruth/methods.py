@@ -27,13 +27,15 @@ class HybridBackend:
 
 @dataclass(frozen=True)
 class ExactBackend:
-    """Possible-world enumeration, item by item."""
+    """Possible-world enumeration, item by item, on clamped qualities;
+    `exact_fuse` raises `UnknownSourceError` for a source left out."""
 
     prior_mode: str = "literal"
     max_candidates: int = DEFAULT_CANDIDATE_CAP
 
     def __call__(self, claims, qualities, prior):
-        return exact_fuse(claims, qualities, prior, max_candidates=self.max_candidates,
+        clamped = {s: qualities[s].clamped() for s in claims.per_source if s in qualities}
+        return exact_fuse(claims, clamped, prior, max_candidates=self.max_candidates,
                           prior_mode=self.prior_mode)
 
 

@@ -18,6 +18,10 @@ log = logging.getLogger(__name__)
 # truth-count distribution's support.
 BETA_CAP = 1.0 - 1e-9
 
+# Engines and baselines read each quality field clamped into
+# [QUALITY_CLAMP, 1 - QUALITY_CLAMP]: their formulas have poles at 0 and 1.
+QUALITY_CLAMP = 1e-6
+
 
 class _Bottom:
     """Sentinel for the decision "there is no more truth"."""
@@ -52,15 +56,14 @@ class Claim:
 class ClaimSet:
     """All observations on one data item.
 
-    `per_source` maps each source to the set of values it provides;
-    `candidates` is the union of those sets; `providers` is the inverse
-    index value -> sources.
+    `per_source` maps each source to the set of values it provides, and
+    is the only form of the item's evidence; `candidates` is the union of
+    those sets.
     """
 
     item_id: Any
     per_source: Mapping[Any, frozenset]
     candidates: frozenset
-    providers: Mapping[Any, frozenset]
 
     @classmethod
     def from_claims(cls, item_id: Any, per_source: Mapping[Any, Iterable]) -> "ClaimSet":
@@ -71,29 +74,20 @@ class ClaimSet:
                 raise ValueError(f"source {source!r} provides no value for item {item_id!r}")
             psi[source] = vs
         candidates = frozenset().union(*psi.values()) if psi else frozenset()
-        providers = {
-            v: frozenset(s for s, vs in psi.items() if v in vs) for v in candidates
-        }
-        return cls(item_id=item_id, per_source=psi, candidates=candidates, providers=providers)
+        return cls(item_id=item_id, per_source=psi, candidates=candidates)
 
     def restrict(self, active_sources: Iterable[Any]) -> "ClaimSet":
         """View of this item with only `active_sources` contributing
         observations.  The candidate universe is kept intact, so values
-        provided solely by excluded sources remain candidates (with an
-        empty provider set).  Returns this item itself when every one of
-        its sources is active."""
+        provided solely by excluded sources remain candidates (with no
+        provider).  Returns this item itself when every one of its sources
+        is active."""
         active = (active_sources if isinstance(active_sources, (set, frozenset))
                   else set(active_sources))
         if active.issuperset(self.per_source):
             return self
         psi = {s: vs for s, vs in self.per_source.items() if s in active}
-        providers = {v: frozenset(s for s in ps if s in active) for v, ps in self.providers.items()}
-        return ClaimSet(item_id=self.item_id, per_source=psi,
-                        candidates=self.candidates, providers=providers)
-
-    @property
-    def sources(self) -> frozenset:
-        return frozenset(self.per_source)
+        return ClaimSet(item_id=self.item_id, per_source=psi, candidates=self.candidates)
 
 
 def claims_by_item(claims: Iterable[Claim]) -> Dict[Any, ClaimSet]:
@@ -125,16 +119,15 @@ class SourceQuality:
             if not 0.0 <= x <= 1.0:
                 raise ValueError(f"{name} must be in [0,1], got {x}")
 
-    def clamped(self, eps: float = 1e-6) -> "SourceQuality":
-        """Copy with every field pushed into [eps, 1-eps]; the vote-count
-        formulas have poles at A=1, R=1."""
-        clip = lambda x: min(max(x, eps), 1.0 - eps)
-        return SourceQuality(
-            accuracy=clip(self.accuracy),
-            recall=clip(self.recall),
-            false_positive_rate=clip(self.false_positive_rate),
-            precision=clip(self.precision),
-        )
+    def clamped(self) -> "SourceQuality":
+        """Copy with every field passed through `clamp`."""
+        return SourceQuality(clamp(self.accuracy), clamp(self.recall),
+                             clamp(self.false_positive_rate), clamp(self.precision))
+
+
+def clamp(x: float) -> float:
+    """A quality field pushed into [QUALITY_CLAMP, 1 - QUALITY_CLAMP]."""
+    return min(max(x, QUALITY_CLAMP), 1.0 - QUALITY_CLAMP)
 
 
 def derive_q(precision: float, recall: float, alpha: float) -> float:

@@ -154,8 +154,7 @@ class TestApproxFuse:
         assert r.probabilities["boots"] < 0.3
 
     def test_empty_item_rejected(self, hockey_qualities, hockey_prior):
-        claims = ClaimSet(item_id="d", per_source={}, candidates=frozenset(),
-                          providers={})
+        claims = ClaimSet(item_id="d", per_source={}, candidates=frozenset())
         with pytest.raises(ValueError, match="no candidate"):
             approx_fuse(claims, hockey_qualities, hockey_prior)
 

@@ -1,18 +1,28 @@
 """Comparison methods: majority vote, accuracy-weighted single truth,
 independent per-value odds, and count-then-pick."""
 
+import math
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from multitruth import (
     ClaimSet,
+    IterationConfig,
     PriorConfig,
     SourceQuality,
     accu_fuse,
+    iterate,
     majority_vote,
     precrec_fuse,
     twostep_fuse,
 )
+from multitruth import baselines
+from multitruth.methods import FUSION_BACKENDS, fusion_backend
+
+from conftest import random_instance
 
 Q6 = SourceQuality(accuracy=0.6, recall=0.5, false_positive_rate=0.1, precision=0.6)
 
@@ -31,7 +41,7 @@ class TestMajority:
         assert majority_vote(cs).selected_truths == ["a"]
 
     def test_empty_rejected(self):
-        cs = ClaimSet(item_id="d", per_source={}, candidates=frozenset(), providers={})
+        cs = ClaimSet(item_id="d", per_source={}, candidates=frozenset())
         with pytest.raises(ValueError):
             majority_vote(cs)
 
@@ -120,3 +130,151 @@ class TestTwoStep:
         r = twostep_fuse(cs, q, self._prior())
         assert len(r.selected_truths) == 3
         assert set(r.selected_truths) >= {"a", "b"}
+
+
+def _no_source_dataset(lone_source):
+    """20 items that two agreeing sources and a scattering third one
+    provide, plus one item that `lone_source` alone provides."""
+    psi = {f"d{i:02d}": {"s1": ["a"], "s2": ["a"], "s3": [f"x{i}", f"y{i}", f"z{i}"]}
+           for i in range(20)}
+    psi["lone"] = {lone_source: ["vb", "va"]}
+    return {d: ClaimSet.from_claims(d, p) for d, p in psi.items()}
+
+
+class TestNoActiveSource:
+    """An item whose only sources are all filtered out keeps its
+    candidates: every candidate ties and the first in token order is
+    selected."""
+
+    def test_single_truth_methods_tie_every_candidate(self):
+        cs = ClaimSet.from_claims("d", {"s1": ["b", "a"], "s2": ["c"]}).restrict(set())
+        q = {s: Q6 for s in ("s1", "s2")}
+        prior = PriorConfig()
+        majority = majority_vote(cs)
+        assert majority.probabilities == {"a": 1.0, "b": 1.0, "c": 1.0}
+        for r in (majority, accu_fuse(cs, q, prior.n), twostep_fuse(cs, q, prior)):
+            assert r.selected_truths == ["a"]
+        for r in (majority, twostep_fuse(cs, q, prior)):
+            assert any("no active source" in n for n in r.diagnostics.notes)
+
+    @pytest.mark.parametrize("method", sorted(FUSION_BACKENDS))
+    @pytest.mark.parametrize("lone_source", ["s1", "s3"])
+    @pytest.mark.parametrize("max_iterations", [3, 5])
+    def test_iterate_fuses_every_item(self, method, lone_source, max_iterations):
+        # s1 alone on `lone` broke majority (division by zero) and s3
+        # alone broke twostep (max of no cardinality), once the good-source
+        # test had filtered that source out
+        dataset = _no_source_dataset(lone_source)
+        results, _, _ = iterate(dataset, PriorConfig(), fusion_backend(method),
+                                IterationConfig(max_iterations=max_iterations))
+        assert set(results) == set(dataset)
+        for item, r in results.items():
+            assert set(r.probabilities) == dataset[item].candidates
+            assert all(0.0 <= p <= 1.0 for p in r.probabilities.values())
+            assert set(r.selected_truths) <= dataset[item].candidates
+        if (method, lone_source) in (("majority", "s1"), ("twostep", "s3")):
+            lone = results["lone"]
+            assert lone.selected_truths == ["va"]
+            assert any("no active source" in n for n in lone.diagnostics.notes)
+
+
+# The per-(value, source) loops the baselines ran on an inverse index
+# value -> providers, kept as the reference for the per-source rewrite.
+# The index held frozensets, whose order follows the hash seed; here each
+# value's providers come in the item's source order, so the reference
+# multiplies in one fixed order that differs from the rewrite's sorted one.
+_CLAMP = 1e-6
+
+
+def _providers(claims):
+    return {v: [s for s, vs in claims.per_source.items() if v in vs]
+            for v in claims.candidates}
+
+
+def reference_majority(claims):
+    providers = _providers(claims)
+    counts = {v: len(providers[v]) for v in claims.candidates}
+    top = max(counts.values())
+    winners = sorted((v for v, c in counts.items() if c == top), key=str)
+    notes = []
+    if len(winners) > 1:
+        notes.append(f"tie among {winners}; selected {winners[0]!r} lexicographically")
+    return {v: c / top for v, c in counts.items()}, [winners[0]], notes
+
+
+def reference_accuracy_votes(claims, qualities, n):
+    providers = _providers(claims)
+    votes = {}
+    for v in claims.candidates:
+        total = 1.0
+        for s in providers.get(v, ()):
+            a = min(max(qualities[s].accuracy, _CLAMP), 1.0 - _CLAMP)
+            total *= n * a / (1.0 - a)
+        votes[v] = total
+    return votes
+
+
+def reference_precrec(claims, qualities, prior):
+    providers = _providers(claims)
+    alpha = prior.alpha
+    probabilities = {}
+    for v in claims.candidates:
+        odds = alpha / (1.0 - alpha)
+        for s in claims.per_source:
+            q = qualities[s]
+            r = min(max(q.recall, _CLAMP), 1.0 - _CLAMP)
+            fp = min(max(q.false_positive_rate, _CLAMP), 1.0 - _CLAMP)
+            if s in providers[v]:
+                odds *= r / fp
+            else:
+                odds *= (1.0 - r) / (1.0 - fp)
+        probabilities[v] = odds / (1.0 + odds)
+    selected = sorted((v for v, p in probabilities.items() if p > 0.5),
+                      key=lambda v: (-probabilities[v], str(v)))
+    return probabilities, selected
+
+
+def _differential_cases(count=400, seed=11):
+    """Random items with their sources in shuffled order, some restricted
+    to a subset of their sources, with some quality fields pushed to 0 or
+    1."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        claims, qualities, prior = random_instance(rng, max_values=8, max_sources=6)
+        sources = list(claims.per_source.items())
+        rng.shuffle(sources)
+        claims = ClaimSet.from_claims(claims.item_id, dict(sources))
+        for s in qualities:
+            for field in ("accuracy", "recall", "false_positive_rate"):
+                if rng.random() < 0.15:
+                    qualities[s] = replace(qualities[s], **{field: float(rng.integers(2))})
+        if rng.random() < 0.4:
+            claims = claims.restrict({s for s in claims.per_source if rng.random() < 0.6})
+        yield claims, qualities, prior
+
+
+def test_majority_and_precrec_match_reference():
+    for claims, qualities, prior in _differential_cases():
+        r = precrec_fuse(claims, qualities, prior)
+        assert (r.probabilities, r.selected_truths) == reference_precrec(claims, qualities, prior)
+        assert list(r.probabilities) == list(claims.candidates)
+        if claims.per_source:
+            r = majority_vote(claims)
+            assert (r.probabilities, r.selected_truths, r.diagnostics.notes) == \
+                reference_majority(claims)
+
+
+def test_accu_and_twostep_match_reference(monkeypatch):
+    cases = list(_differential_cases())
+    fused = []
+    for votes in (baselines._accuracy_votes, reference_accuracy_votes):
+        monkeypatch.setattr(baselines, "_accuracy_votes", votes)
+        fused.append([(accu_fuse(claims, qualities, prior.n), twostep_fuse(claims, qualities, prior))
+                      for claims, qualities, prior in cases])
+    for new_pair, ref_pair in zip(*fused):
+        for new, ref in zip(new_pair, ref_pair):
+            assert new.probabilities.keys() == ref.probabilities.keys()
+            for v, p in new.probabilities.items():
+                assert math.isclose(p, ref.probabilities[v], rel_tol=1e-12, abs_tol=1e-12)
+            assert new.selected_truths == ref.selected_truths
+            assert new.diagnostics.notes == ref.diagnostics.notes

@@ -3,12 +3,18 @@ and argument validation."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import multitruth
 from multitruth import InstanceTooLargeError, IterationConfig, PriorConfig, iterate
 from multitruth import io as mio
+from multitruth.synth import SynthConfig, generate
 from multitruth.cli import main
 from multitruth.methods import FUSION_BACKENDS, fusion_backend
 
@@ -222,3 +228,23 @@ class TestCompareSweep:
         with out.open() as fh:
             rows = list(csv.DictReader(fh))
         assert [r["grid_value"] for r in rows] == ["0.2", "0.4", "0.6", "0.8", "1.0"]
+
+
+@pytest.mark.parametrize("method", ["accu", "twostep", "precrec", "majority"])
+def test_baseline_fuse_independent_of_hash_seed(tmp_path, method):
+    # frozenset iteration order follows the per-process hash seed; a
+    # product or sum taken in that order changes the last digits
+    claims = tmp_path / "claims.csv"
+    mio.write_claims_csv(generate(SynthConfig(num_items=40, rng_seed=3))[0], claims)
+    src = str(Path(multitruth.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / f"fused-{hash_seed}"
+        subprocess.run([sys.executable, "-m", "multitruth.cli", "fuse", "--method", method,
+                        "--claims", str(claims), "--out", str(out)],
+                       env=env, capture_output=True, timeout=120, check=True)
+        outputs.append((out.with_suffix(".csv").read_bytes(),
+                        out.with_suffix(".json").read_bytes()))
+    assert outputs[0] == outputs[1]

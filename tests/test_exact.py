@@ -15,6 +15,7 @@ from multitruth import (
     ClaimSet,
     DegenerateEvidenceError,
     InstanceTooLargeError,
+    IterationConfig,
     PriorConfig,
     SourceQuality,
     UnknownSourceError,
@@ -22,8 +23,12 @@ from multitruth import (
     conditional_prob,
     exact_fuse,
     exact_fuse_from_votes,
+    iterate,
 )
 from multitruth.exact import PRUNE_THRESHOLD, conditional_distribution
+from multitruth.io import claims_by_item
+from multitruth.methods import fusion_backend
+from multitruth.synth import SynthConfig, generate
 
 from conftest import random_instance
 
@@ -125,6 +130,34 @@ class TestExactFuse:
             again = exact_fuse(shuffled, qualities, prior).probabilities
             for v in base:
                 assert again[v] == pytest.approx(base[v], abs=1e-12)
+
+
+class TestExactBackend:
+    """`hybrid-exact` fuses on clamped qualities; `exact_fuse` is the
+    unclamped oracle."""
+
+    def test_fuses_where_a_false_positive_rate_reaches_zero(self):
+        cfg = SynthConfig(num_sources=6, num_items=12, truth_count_max=2, false_domain_size=4,
+                          extra_ratio=0.6, source_accuracy=0.9, source_recall=0.9, rng_seed=0)
+        dataset = claims_by_item(generate(cfg)[0])
+        prior = PriorConfig()
+        backend = fusion_backend("hybrid-exact")
+        # one round re-estimates every precision at 1, so every
+        # false-positive rate at 0
+        _, qualities, _ = iterate(dataset, prior, backend, IterationConfig(max_iterations=1))
+        assert all(q.false_positive_rate == 0.0 for q in qualities.values())
+        with pytest.raises(DegenerateEvidenceError):
+            exact_fuse(dataset["i0000"], qualities, prior)
+
+        results, _, _ = iterate(dataset, prior, backend)
+        assert set(results) == set(dataset)
+        for r in results.values():
+            assert all(0.0 <= p <= 1.0 for p in r.probabilities.values())
+
+    def test_unknown_source(self, hockey_claims, hockey_prior):
+        q = SourceQuality(accuracy=0.6, recall=0.9, false_positive_rate=0.1)
+        with pytest.raises(UnknownSourceError):
+            fusion_backend("hybrid-exact")(hockey_claims, {"s1": q}, hockey_prior)
 
 
 class TestExactFromVotes:
