@@ -60,8 +60,7 @@ def vote_count(value: Any, providers: Iterable[Any],
 
 
 def bot_vote_count(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
-                   prior: PriorConfig, i: int, selected_count: int,
-                   prior_mode: str = "literal") -> float:
+                   prior: PriorConfig, i: int, selected_count: int) -> float:
     """Vote of "no more truth" at step i (selected_count values committed).
 
     Sources that provided more values than already committed argue against
@@ -70,7 +69,7 @@ def bot_vote_count(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
     if selected_count != i - 1:
         raise ValueError("selected_count must equal i - 1")
     beta = beta_at(prior, i)
-    prefactor = beta * prior_slot_count(len(claims.candidates), i, prior_mode) / (1.0 - beta)
+    prefactor = beta * prior_slot_count(prior, len(claims.candidates), i) / (1.0 - beta)
     total = prefactor
     for s in sorted(claims.per_source, key=str):
         provided = claims.per_source[s]
@@ -193,7 +192,7 @@ def _shifted_exp(x: float) -> float:
 
 
 def approx_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
-                prior: PriorConfig, prior_mode: str = "literal") -> FusionResult:
+                prior: PriorConfig) -> FusionResult:
     """Approximate fusion of one item from source qualities (no step
     trace is recorded).
 
@@ -219,7 +218,7 @@ def approx_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
         total = 0.0
         for k, more, rest in sizes:
             total += more if k >= i else rest
-        total += _log_prior_odds(prior, i) + math.log(prior_slot_count(m, i, prior_mode))
+        total += _log_prior_odds(prior, i) + math.log(prior_slot_count(prior, m, i))
         return _shifted_exp(total - top)
 
     votes = {v: math.exp(lv - top) for v, lv in log_votes.items()}
@@ -233,8 +232,8 @@ BLOCK_CELLS = 1 << 14
 
 
 def approx_fuse_dataset(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
-                        prior: PriorConfig, active: Optional[Iterable[Any]] = None,
-                        prior_mode: str = "literal") -> Dict[Any, FusionResult]:
+                        prior: PriorConfig,
+                        active: Optional[Iterable[Any]] = None) -> Dict[Any, FusionResult]:
     """`approx_fuse` on every item of the index, with only the `active`
     sources (all if None) contributing.
 
@@ -257,7 +256,7 @@ def approx_fuse_dataset(index: ClaimIndex, qualities: Mapping[Any, SourceQuality
     width = int(index.cand_count.max())
     log_odds = np.array([0.0] + [_log_prior_odds(prior, i) for i in range(1, width + 1)])
     log_int = np.array([-math.inf] + [math.log(k) for k in range(1, width + 2)])
-    extra = prior_slot_count(1, 1, prior_mode) - 1
+    extra = prior_slot_count(prior, 1, 1) - 1
     blocks = [_fuse_block(index, lo, hi, pair_terms, log_odds, log_int, extra)
               for lo, hi in _blocks(index.cand_count)]
     ranked, probs, n_selected, last, bots = (np.concatenate(parts) for parts in zip(*blocks))
@@ -384,14 +383,14 @@ def approx_fuse_from_votes(fixture: VoteCountFixture, item_id: Any = None,
 
 
 def fixture_from_qualities(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
-                           prior: PriorConfig, prior_mode: str = "literal") -> VoteCountFixture:
+                           prior: PriorConfig) -> VoteCountFixture:
     """Materialize the vote counts an instance induces, enabling the
     vote-injection backends to replay it."""
     clamped = {s: q.clamped() for s, q in qualities.items()}
     votes = {v: vote_count(v, [s for s, vs in claims.per_source.items() if v in vs],
                            clamped, prior.n)
              for v in claims.candidates}
-    bots = [bot_vote_count(claims, clamped, prior, i, i - 1, prior_mode)
+    bots = [bot_vote_count(claims, clamped, prior, i, i - 1)
             for i in range(1, len(votes) + 1)]
     return VoteCountFixture(votes=votes, bot_votes=bots)
 

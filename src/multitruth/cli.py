@@ -47,7 +47,7 @@ def _load_run_config(path, method: str):
     defaults = IterationConfig()
     try:
         dist = raw.get("truth_count_dist")
-        prior_kwargs = {k: raw[k] for k in ("n", "alpha") if k in raw}
+        prior_kwargs = {k: raw[k] for k in ("n", "alpha", "prior_mode") if k in raw}
         if dist is not None:
             prior_kwargs["truth_count_dist"] = {int(k): float(p) for k, p in dist.items()}
         prior = PriorConfig(**prior_kwargs)
@@ -58,21 +58,14 @@ def _load_run_config(path, method: str):
             false_positive_rate=iq.get("Q", base.false_positive_rate),
             precision=iq.get("P", base.precision),
         )
+        iter_cfg = IterationConfig(
+            init_quality=init_quality,
+            max_iterations=int(raw.get("max_iterations", defaults.max_iterations)),
+            accuracy_mode=raw.get("accuracy_mode", defaults.accuracy_mode))
+        exact_candidate_cap = int(raw.get("exact_candidate_cap", DEFAULT_CANDIDATE_CAP))
     except ValueError as exc:
         raise click.UsageError(f"invalid config: {exc}")
-    max_iterations = int(raw.get("max_iterations", defaults.max_iterations))
-    prior_mode = raw.get("prior_mode", "literal")
-    accuracy_mode = raw.get("accuracy_mode", defaults.accuracy_mode)
-    exact_candidate_cap = int(raw.get("exact_candidate_cap", DEFAULT_CANDIDATE_CAP))
-    if prior_mode not in ("literal", "example-compatible"):
-        raise click.UsageError(f"invalid prior_mode {prior_mode!r}")
-    if accuracy_mode not in ("per-item", "literal"):
-        raise click.UsageError(f"invalid accuracy_mode {accuracy_mode!r}")
-    backend = fusion_backend(method, prior_mode=prior_mode,
-                             exact_candidate_cap=exact_candidate_cap)
-    return prior, backend, IterationConfig(init_quality=init_quality,
-                                           max_iterations=max_iterations,
-                                           accuracy_mode=accuracy_mode)
+    return prior, fusion_backend(method, exact_candidate_cap=exact_candidate_cap), iter_cfg
 
 
 @click.group()

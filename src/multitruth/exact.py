@@ -57,14 +57,14 @@ def _normalise(log_weights: Sequence[float], item_id: Any) -> List[float]:
     return [math.exp(lw - top) / total if lw != LOG_ZERO else 0.0 for lw in log_weights]
 
 
-def _prior_logs(m: int, prior: PriorConfig, n_selected: int,
-                prior_mode: str) -> Tuple[Optional[float], Optional[float]]:
+def _prior_logs(m: int, prior: PriorConfig,
+                n_selected: int) -> Tuple[Optional[float], Optional[float]]:
     """Log prior of one particular unselected value among `m` candidates,
     and of BOTTOM, being the next truth after `n_selected` values; None
     where the prior is 0."""
     i = n_selected + 1
     beta = beta_at(prior, i)
-    v_prior = (1.0 - beta) / prior_slot_count(m, i, prior_mode) if n_selected < m else 0.0
+    v_prior = (1.0 - beta) / prior_slot_count(prior, m, i) if n_selected < m else 0.0
     return (math.log(v_prior) if v_prior > 0 else None,
             math.log(beta) if beta > 0 else None)
 
@@ -76,8 +76,7 @@ def _posterior_logs(log_likelihoods: Sequence[float],
 
 
 def conditional_distribution(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
-                             prior: PriorConfig, selected: Sequence[Any],
-                             prior_mode: str = "literal") -> Dict[Any, float]:
+                             prior: PriorConfig, selected: Sequence[Any]) -> Dict[Any, float]:
     """Bayes-normalized probabilities, over the unselected candidates plus
     BOTTOM, of being the next truth after `selected`.  Evaluates every
     source's likelihood on the hypothesized sets themselves; `exact_fuse`
@@ -85,8 +84,7 @@ def conditional_distribution(claims: ClaimSet, qualities: Mapping[Any, SourceQua
     source_probs = {s: category_probs(q, prior.n) for s, q in qualities.items()}
     selected_seq = tuple(frozenset(selected))
     remaining = sorted(claims.candidates - frozenset(selected), key=str)
-    log_v_prior, log_beta = _prior_logs(len(claims.candidates), prior, len(selected),
-                                        prior_mode)
+    log_v_prior, log_beta = _prior_logs(len(claims.candidates), prior, len(selected))
 
     def joint_ll(candidate) -> float:
         total = 0.0
@@ -103,13 +101,12 @@ def conditional_distribution(claims: ClaimSet, qualities: Mapping[Any, SourceQua
 
 
 def conditional_prob(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
-                     prior: PriorConfig, selected: Sequence[Any], candidate,
-                     prior_mode: str = "literal") -> float:
+                     prior: PriorConfig, selected: Sequence[Any], candidate) -> float:
     """Probability of `candidate` (a value or BOTTOM) being the next truth
     given the already-selected sequence."""
     if candidate is not BOTTOM and candidate in set(selected):
         raise ValueError(f"candidate {candidate!r} already selected")
-    dist = conditional_distribution(claims, qualities, prior, selected, prior_mode)
+    dist = conditional_distribution(claims, qualities, prior, selected)
     return dist[candidate]
 
 
@@ -175,7 +172,7 @@ def _select(probabilities: Dict[Any, float]):
 
 def exact_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
                prior: PriorConfig, max_candidates: int = DEFAULT_CANDIDATE_CAP,
-               prior_mode: str = "literal", prune: float = PRUNE_THRESHOLD) -> FusionResult:
+               prune: float = PRUNE_THRESHOLD) -> FusionResult:
     """Exact per-value truth probabilities by full possible-world
     enumeration; values with probability above 0.5 are selected."""
     if len(claims.candidates) > max_candidates:
@@ -188,7 +185,7 @@ def exact_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
     values = sorted(claims.candidates, key=str)
     index = {v: i for i, v in enumerate(values)}
     m = len(values)
-    priors = [_prior_logs(m, prior, k, prior_mode) for k in range(m + 1)]
+    priors = [_prior_logs(m, prior, k) for k in range(m + 1)]
     sources = [(sum(1 << index[v] for v in provided),
                 _SourceCells(category_log_probs(category_probs(qualities[source], prior.n)),
                              len(provided)))

@@ -16,27 +16,23 @@ class HybridBackend:
     """The quadratic approximation: `approx_fuse` per item, and
     `approx_fuse_dataset` when `iterate` fuses a whole dataset."""
 
-    prior_mode: str = "literal"
-
     def __call__(self, claims, qualities, prior):
-        return approx_fuse(claims, qualities, prior, prior_mode=self.prior_mode)
+        return approx_fuse(claims, qualities, prior)
 
     def fuse_dataset(self, index, qualities, prior, active=None):
-        return approx_fuse_dataset(index, qualities, prior, active, prior_mode=self.prior_mode)
+        return approx_fuse_dataset(index, qualities, prior, active)
 
 
 @dataclass(frozen=True)
 class ExactBackend:
-    """Possible-world enumeration, item by item, on clamped qualities;
+    """Possible-world enumeration, item by item, on the qualities it is
+    given: `iterate` hands it qualities clamped once per round, and
     `exact_fuse` raises `UnknownSourceError` for a source left out."""
 
-    prior_mode: str = "literal"
     max_candidates: int = DEFAULT_CANDIDATE_CAP
 
     def __call__(self, claims, qualities, prior):
-        clamped = {s: qualities[s].clamped() for s in claims.per_source if s in qualities}
-        return exact_fuse(claims, clamped, prior, max_candidates=self.max_candidates,
-                          prior_mode=self.prior_mode)
+        return exact_fuse(claims, qualities, prior, max_candidates=self.max_candidates)
 
 
 def _accu(claims, qualities, prior):
@@ -57,16 +53,12 @@ FUSION_BACKENDS: dict[str, FusionBackend] = {
 }
 
 
-def fusion_backend(name: str, prior_mode: str = "literal",
-                   exact_candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> FusionBackend:
-    """The backend registered under `name`; the two hybrid backends take
-    the prior mode, and `hybrid-exact` the candidate cap too.  A backend
-    built here equals (and hashes like) its registry entry when the
-    settings are the defaults."""
-    if name == "hybrid":
-        return HybridBackend(prior_mode)
+def fusion_backend(name: str, exact_candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> FusionBackend:
+    """The backend registered under `name`; `hybrid-exact` takes the
+    candidate cap, and equals (and hashes like) its registry entry at the
+    default cap."""
     if name == "hybrid-exact":
-        return ExactBackend(prior_mode, exact_candidate_cap)
+        return ExactBackend(exact_candidate_cap)
     try:
         return FUSION_BACKENDS[name]
     except KeyError:

@@ -151,12 +151,15 @@ def _uniform_truth_dist(k_max: int = 5) -> Dict[int, float]:
 @dataclass(frozen=True)
 class PriorConfig:
     """Priors of the fusion model: the false-domain size n, the a-priori
-    slot probability alpha, and the distribution of the number of truths
-    per item (which induces the per-step stop probabilities)."""
+    slot probability alpha, the distribution of the number of truths per
+    item (which induces the per-step stop probabilities), and how the
+    non-stop mass is split over the unselected values (`prior_mode`, read
+    by `prior_slot_count`)."""
 
     n: int = 10
     alpha: float = 0.25
     truth_count_dist: Mapping[int, float] = field(default_factory=_uniform_truth_dist)
+    prior_mode: str = "literal"
 
     def __post_init__(self):
         if self.n < 1:
@@ -174,6 +177,8 @@ class PriorConfig:
             total += p
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"truth-count probabilities sum to {total}, expected 1")
+        if self.prior_mode not in ("literal", "example-compatible"):
+            raise ValueError(f"invalid prior_mode {self.prior_mode!r}")
 
 
 def beta_at(prior: PriorConfig, i: int) -> float:
@@ -186,7 +191,7 @@ def beta_at(prior: PriorConfig, i: int) -> float:
     return min(b, BETA_CAP)
 
 
-def prior_slot_count(candidate_count: int, i: int, prior_mode: str = "literal") -> int:
+def prior_slot_count(prior: PriorConfig, candidate_count: int, i: int) -> int:
     """Number of slots the non-stop prior mass is split over at step i.
 
     "literal" counts the values not yet selected; "example-compatible"
@@ -194,11 +199,8 @@ def prior_slot_count(candidate_count: int, i: int, prior_mode: str = "literal") 
     were calibrated against.  The two modes barely move the posterior
     because the stop term is the only asymmetric one.
     """
-    if prior_mode == "literal":
-        return candidate_count - i + 1
-    if prior_mode == "example-compatible":
-        return candidate_count - i + 2
-    raise ValueError(f"unknown prior mode {prior_mode!r}")
+    extra = 1 if prior.prior_mode == "example-compatible" else 0
+    return candidate_count - i + 1 + extra
 
 
 @dataclass

@@ -133,6 +133,10 @@ class IterationConfig:
     # re-estimate accuracy only.
     update_slot_metrics: bool = True
 
+    def __post_init__(self):
+        if self.accuracy_mode not in ("per-item", "literal"):
+            raise ValueError(f"invalid accuracy_mode {self.accuracy_mode!r}")
+
 
 @dataclass
 class IterationRecord:
@@ -167,18 +171,21 @@ def iterate(dataset: Mapping[Any, ClaimSet], prior: PriorConfig,
     iteration.  Stops at `max_iterations` or when no quality moves more
     than the tolerance.  With max_iterations=0 this is a single fusion
     pass at the initial qualities.  Both halves of the loop run on one
-    `ClaimIndex` of the dataset.
+    `ClaimIndex` of the dataset.  Each round clamps every quality once and
+    fuses on the clamped copies; the qualities returned are unclamped.
     """
     if not dataset:
         raise ValueError("empty dataset")
     index = ClaimIndex(dataset)
     sources = index.sources
     qualities: Dict[Any, SourceQuality] = {s: config.init_quality for s in sources}
+    clamped = dict.fromkeys(sources, config.init_quality.clamped())
     records: List[IterationRecord] = []
 
-    results = _fuse_all(dataset, index, qualities, prior, fusion, None)
+    results = _fuse_all(dataset, index, clamped, prior, fusion, None)
     for it in range(1, config.max_iterations + 1):
         new_qualities: Dict[Any, SourceQuality] = {}
+        clamped = {}
         delta = 0.0
         good_sources = set()
         precisions, recalls, accuracies = source_metrics(index, results, config.accuracy_mode)
@@ -193,7 +200,8 @@ def iterate(dataset: Mapping[Any, ClaimSet], prior: PriorConfig,
             nq = SourceQuality(accuracy=a, recall=r, false_positive_rate=q, precision=p)
             delta = max(delta, abs(p - old.precision), abs(r - old.recall),
                         abs(a - old.accuracy), abs(q - old.false_positive_rate))
-            good = is_good_source(nq.clamped(), prior.n)
+            clamped[s] = nq.clamped()
+            good = is_good_source(clamped[s], prior.n)
             records.append(IterationRecord(iteration=it, source=s, precision=p,
                                            recall=r, accuracy=a,
                                            false_positive_rate=q, good=good))
@@ -205,7 +213,7 @@ def iterate(dataset: Mapping[Any, ClaimSet], prior: PriorConfig,
         if not good_sources:
             log.warning("no source passes the good-source test at iteration %d; "
                         "fusing with all sources", it)
-        results = _fuse_all(dataset, index, qualities, prior, fusion, good_sources or None)
+        results = _fuse_all(dataset, index, clamped, prior, fusion, good_sources or None)
         if delta < config.tolerance:
             log.debug("quality iteration converged at step %d (delta %.2g)", it, delta)
             break

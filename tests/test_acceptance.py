@@ -8,6 +8,7 @@ additionally reports one PASSED/FAILED line per criterion.
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,8 +117,8 @@ def test_a04_conditional_both_prior_modes():
     with criterion("A4"):
         claims, qualities, prior = _hockey_claims(), _hockey_qualities(), _hockey_prior()
         for mode in ("example-compatible", "literal"):
-            p = conditional_prob(claims, qualities, prior, ["helmet"], "stick",
-                                 prior_mode=mode)
+            p = conditional_prob(claims, qualities, replace(prior, prior_mode=mode),
+                                 ["helmet"], "stick")
             assert p == pytest.approx(0.88, abs=0.01), mode
 
 

@@ -2,6 +2,7 @@
 the 1/6 error guarantee against the exact enumeration."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -350,11 +351,12 @@ class TestDatasetPass:
                       else {s for s in index.sources if rng.random() < 0.7})
             prior = _random_prior(rng)
             mode = ("literal", "example-compatible")[int(rng.integers(2))]
-            fused = approx_fuse_dataset(index, qualities, prior, active, prior_mode=mode)
+            prior = replace(prior, prior_mode=mode)
+            fused = approx_fuse_dataset(index, qualities, prior, active)
             assert list(fused) == index.items
             for item, cs in dataset.items():
                 ref = approx_fuse(cs if active is None else cs.restrict(active), qualities,
-                                  prior, prior_mode=mode)
+                                  prior)
                 got = fused[item]
                 assert got.item_id == ref.item_id
                 assert set(got.selected_truths) == set(ref.selected_truths)

@@ -2,6 +2,7 @@
 and argument validation."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ import multitruth
 from multitruth import InstanceTooLargeError, IterationConfig, PriorConfig, iterate
 from multitruth import io as mio
 from multitruth.synth import SynthConfig, generate
-from multitruth.cli import main
+from multitruth.cli import _CONFIG_KEYS, _load_run_config, main
 from multitruth.methods import FUSION_BACKENDS, fusion_backend
 
 
@@ -127,8 +128,8 @@ class TestFuseEval:
             result = runner.invoke(main, ["fuse", "--method", "hybrid", "--claims", str(claims),
                                           "--config", str(cfg), "--out", str(out)])
             assert result.exit_code == 0, result.output
-            results, _, _ = iterate(dataset, PriorConfig(),
-                                    fusion_backend("hybrid", prior_mode=prior_mode), iter_cfg)
+            prior = dataclasses.replace(PriorConfig(), prior_mode=prior_mode)
+            results, _, _ = iterate(dataset, prior, fusion_backend("hybrid"), iter_cfg)
             mio.write_probabilities(results, tmp_path / f"expected-{name}.csv")
             written[name] = (tmp_path / f"out-{name}.csv").read_bytes()
             assert written[name] == (tmp_path / f"expected-{name}.csv").read_bytes()
@@ -157,7 +158,38 @@ class TestFuseEval:
         for name, backend in FUSION_BACKENDS.items():
             assert fusion_backend(name) == backend
             assert hash(fusion_backend(name)) == hash(backend)
-        assert fusion_backend("hybrid", prior_mode="example-compatible") != FUSION_BACKENDS["hybrid"]
+        assert (fusion_backend("hybrid-exact", exact_candidate_cap=5)
+                != FUSION_BACKENDS["hybrid-exact"])
+
+    def test_each_config_key_sets_the_field_the_readme_names(self, tmp_path):
+        # key -> (a value other than its default, the field the README's
+        # `fuse` config table names)
+        table = {
+            "n": (7, "PriorConfig.n"),
+            "alpha": (0.5, "PriorConfig.alpha"),
+            "truth_count_dist": ({"1": 0.5, "2": 0.5}, "PriorConfig.truth_count_dist"),
+            "prior_mode": ("example-compatible", "PriorConfig.prior_mode"),
+            "init_quality": ({"A": 0.7}, "IterationConfig.init_quality"),
+            "max_iterations": (2, "IterationConfig.max_iterations"),
+            "accuracy_mode": ("literal", "IterationConfig.accuracy_mode"),
+            "exact_candidate_cap": (5, "ExactBackend.max_candidates"),
+        }
+        assert set(table) == _CONFIG_KEYS
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = {line.split("`")[1]: line for line in readme.splitlines()
+                if line.startswith("| `")}
+
+        def fields(loaded):
+            return {f"{type(obj).__name__}.{f.name}": getattr(obj, f.name)
+                    for obj in loaded for f in dataclasses.fields(obj)}
+
+        defaults = fields(_load_run_config(None, "hybrid-exact"))
+        cfg = tmp_path / "run.json"
+        for key, (value, field) in table.items():
+            assert f"`{field}`" in rows[key], key
+            cfg.write_text(json.dumps({key: value}))
+            loaded = fields(_load_run_config(cfg, "hybrid-exact"))
+            assert [f for f in defaults if loaded[f] != defaults[f]] == [field], key
 
     def test_fuse_has_no_threads_option(self, runner, tmp_path):
         claims, _ = _synth(runner, tmp_path)
@@ -177,6 +209,17 @@ class TestFuseEval:
                                           "--config", str(cfg), "--out", "o"])
             assert result.exit_code == 2
             assert message in result.output
+
+    def test_malformed_integer_is_a_usage_error(self, runner, tmp_path):
+        claims = tmp_path / "claims.csv"
+        claims.write_text("source_id,item_id,value\ns1,d1,a\n")
+        cfg = tmp_path / "run.json"
+        for key in ("max_iterations", "exact_candidate_cap"):
+            cfg.write_text(json.dumps({key: "abc"}))
+            result = runner.invoke(main, ["fuse", "--method", "hybrid", "--claims", str(claims),
+                                          "--config", str(cfg), "--out", "o"])
+            assert result.exit_code == 2, key
+            assert "invalid config" in result.output, key
 
     def test_missing_claims_file(self, runner):
         result = runner.invoke(main, ["fuse", "--method", "hybrid",

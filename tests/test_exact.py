@@ -4,6 +4,7 @@ invariances."""
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +44,8 @@ class TestConditionalDistribution:
     def test_worked_conditional_both_modes(self, hockey_claims, hockey_qualities,
                                            hockey_prior):
         for mode in ("literal", "example-compatible"):
-            p = conditional_prob(hockey_claims, hockey_qualities, hockey_prior,
-                                 ["helmet"], "stick", prior_mode=mode)
+            p = conditional_prob(hockey_claims, hockey_qualities,
+                                 replace(hockey_prior, prior_mode=mode), ["helmet"], "stick")
             assert p == pytest.approx(0.88, abs=0.01)
 
     def test_already_selected_rejected(self, hockey_claims, hockey_qualities,
@@ -133,8 +134,8 @@ class TestExactFuse:
 
 
 class TestExactBackend:
-    """`hybrid-exact` fuses on clamped qualities; `exact_fuse` is the
-    unclamped oracle."""
+    """`hybrid-exact` fuses on the clamped qualities `iterate` hands it;
+    `exact_fuse` is the unclamped oracle."""
 
     def test_fuses_where_a_false_positive_rate_reaches_zero(self):
         cfg = SynthConfig(num_sources=6, num_items=12, truth_count_max=2, false_domain_size=4,
@@ -208,13 +209,12 @@ def walk_enumerate(candidates, conds_for, prune):
     return totals
 
 
-def walk_exact_fuse(claims, qualities, prior, prior_mode, prune):
+def walk_exact_fuse(claims, qualities, prior, prune):
     cache = {}
 
     def conds_for(selected):
         if selected not in cache:
-            cache[selected] = conditional_distribution(claims, qualities, prior, selected,
-                                                       prior_mode)
+            cache[selected] = conditional_distribution(claims, qualities, prior, selected)
         return cache[selected]
 
     return walk_enumerate(sorted(claims.candidates, key=str), conds_for, prune)
@@ -259,15 +259,15 @@ class TestSubsetDPMatchesWalk:
                     for name in ("accuracy", "recall", "false_positive_rate", "precision")})
                 for s, q in qualities.items()}
             mode = ("literal", "example-compatible")[i % 2]
+            prior = replace(prior, prior_mode=mode)
             try:
-                reference = walk_exact_fuse(claims, qualities, prior, mode, prune)
+                reference = walk_exact_fuse(claims, qualities, prior, prune)
             except DegenerateEvidenceError:
                 degenerate += 1
                 with pytest.raises(DegenerateEvidenceError):
-                    exact_fuse(claims, qualities, prior, prior_mode=mode, prune=prune)
+                    exact_fuse(claims, qualities, prior, prune=prune)
                 continue
-            _assert_agrees(exact_fuse(claims, qualities, prior, prior_mode=mode, prune=prune),
-                           reference)
+            _assert_agrees(exact_fuse(claims, qualities, prior, prune=prune), reference)
         assert degenerate < 150
 
     @pytest.mark.parametrize("prune", [PRUNE_THRESHOLD, 0.0])

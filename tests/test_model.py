@@ -1,6 +1,7 @@
 """Domain types, value normalization, priors, and the stop schedule."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -115,6 +116,8 @@ class TestPriorConfig:
             PriorConfig(truth_count_dist={1: 0.5, 2: 0.4})
         with pytest.raises(ValueError, match="positive integers"):
             PriorConfig(truth_count_dist={0: 0.5, 1: 0.5})
+        with pytest.raises(ValueError, match="invalid prior_mode 'bogus'"):
+            PriorConfig(prior_mode="bogus")
 
     def test_default_truth_dist_uniform(self):
         p = PriorConfig()
@@ -149,10 +152,11 @@ class TestBetaSchedule:
 
 class TestPriors:
     def test_prior_slot_count_modes(self):
-        assert prior_slot_count(4, 2, "literal") == 3
-        assert prior_slot_count(4, 2, "example-compatible") == 4
-        with pytest.raises(ValueError, match="prior mode"):
-            prior_slot_count(4, 2, "bogus")
+        prior = PriorConfig()
+        assert prior_slot_count(replace(prior, prior_mode="literal"), 4, 2) == 3
+        assert prior_slot_count(replace(prior, prior_mode="example-compatible"), 4, 2) == 4
+        with pytest.raises(ValueError, match="prior_mode"):
+            prior_slot_count(replace(prior, prior_mode="bogus"), 4, 2)
 
 
 class TestVoteCountFixture:

@@ -196,6 +196,10 @@ class TestIterate:
         with pytest.raises(ValueError, match="empty"):
             iterate({}, self._prior(), fusion_backend("hybrid"))
 
+    def test_invalid_accuracy_mode_rejected(self):
+        with pytest.raises(ValueError, match="invalid accuracy_mode 'bogus'"):
+            IterationConfig(accuracy_mode="bogus")
+
 
 # The per-source scans the one-pass update replaced, kept as its reference.
 
