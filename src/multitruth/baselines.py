@@ -93,7 +93,8 @@ def precrec_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
         odds = prior_odds
         for values, provided, abstained in terms:
             odds *= provided if v in values else abstained
-        probabilities[v] = odds / (1.0 + odds)
+        # past the float range, the odds overflow to inf and inf/inf is nan
+        probabilities[v] = 1.0 if odds == math.inf else odds / (1.0 + odds)
     selected = sorted((v for v, p in probabilities.items() if p > 0.5),
                       key=lambda v: (-probabilities[v], str(v)))
     return FusionResult(item_id=claims.item_id, probabilities=probabilities,

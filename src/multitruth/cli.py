@@ -18,7 +18,7 @@ import click
 from . import io as mio
 from .errors import FusionError
 from .exact import DEFAULT_CANDIDATE_CAP
-from .methods import FUSION_BACKENDS, fusion_backend
+from .methods import FUSION_BACKENDS, fusion_backend, method_iteration_config
 from .model import PriorConfig, SourceQuality
 from .quality import IterationConfig, iterate
 from .synth import SynthConfig, compare, evaluate, generate
@@ -33,8 +33,8 @@ _CONFIG_KEYS = {
 
 def _load_run_config(path, method: str):
     """The prior, the fusion backend for `method` and the iteration
-    settings a JSON run configuration gives (defaults where it is
-    absent)."""
+    settings `method` runs with, as a JSON run configuration gives them
+    (defaults where it is absent)."""
     raw = {}
     if path is not None:
         try:
@@ -65,7 +65,8 @@ def _load_run_config(path, method: str):
         exact_candidate_cap = int(raw.get("exact_candidate_cap", DEFAULT_CANDIDATE_CAP))
     except ValueError as exc:
         raise click.UsageError(f"invalid config: {exc}")
-    return prior, fusion_backend(method, exact_candidate_cap=exact_candidate_cap), iter_cfg
+    return (prior, fusion_backend(method, exact_candidate_cap=exact_candidate_cap),
+            method_iteration_config(method, iter_cfg))
 
 
 @click.group()
@@ -156,9 +157,13 @@ def _parse_grid(spec: str):
         raise click.UsageError(f"cannot parse grid {spec!r}; expected param=v1,v2,...")
     if not parsed:
         raise click.UsageError(f"empty grid {spec!r}")
-    fields = {f.name for f in dataclasses.fields(SynthConfig)}
-    if param not in fields:
+    defaults = {f.name: f.default for f in dataclasses.fields(SynthConfig)}
+    if param not in defaults:
         raise click.UsageError(f"unknown grid parameter {param!r}")
+    if isinstance(defaults[param], int):
+        if not all(v.is_integer() for v in parsed):
+            raise click.UsageError(f"grid parameter {param!r} takes integers")
+        parsed = [int(v) for v in parsed]
     return {param: parsed}
 
 

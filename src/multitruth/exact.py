@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from operator import getitem
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 from .errors import DegenerateEvidenceError, InstanceTooLargeError, UnknownSourceError
 from .likelihood import (
@@ -54,25 +54,18 @@ def _normalise(log_weights: Sequence[float], item_id: Any) -> List[float]:
         raise DegenerateEvidenceError(
             f"degenerate evidence on item {item_id!r}: all likelihoods are zero")
     total = sum(math.exp(lw - top) for lw in log_weights)
-    return [math.exp(lw - top) / total if lw != LOG_ZERO else 0.0 for lw in log_weights]
+    return [math.exp(lw - top) / total for lw in log_weights]
 
 
-def _prior_logs(m: int, prior: PriorConfig,
-                n_selected: int) -> Tuple[Optional[float], Optional[float]]:
+def _prior_logs(m: int, prior: PriorConfig, n_selected: int) -> Tuple[float, float]:
     """Log prior of one particular unselected value among `m` candidates,
-    and of BOTTOM, being the next truth after `n_selected` values; None
-    where the prior is 0."""
+    and of BOTTOM, being the next truth after `n_selected` values;
+    LOG_ZERO where the prior is 0."""
     i = n_selected + 1
     beta = beta_at(prior, i)
     v_prior = (1.0 - beta) / prior_slot_count(prior, m, i) if n_selected < m else 0.0
-    return (math.log(v_prior) if v_prior > 0 else None,
-            math.log(beta) if beta > 0 else None)
-
-
-def _posterior_logs(log_likelihoods: Sequence[float],
-                    log_prior: Optional[float]) -> List[float]:
-    return [LOG_ZERO if ll == LOG_ZERO or log_prior is None else ll + log_prior
-            for ll in log_likelihoods]
+    return (math.log(v_prior) if v_prior > 0 else LOG_ZERO,
+            math.log(beta) if beta > 0 else LOG_ZERO)
 
 
 def conditional_distribution(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
@@ -95,8 +88,8 @@ def conditional_distribution(claims: ClaimSet, qualities: Mapping[Any, SourceQua
             total += ll
         return total
 
-    log_weights = (_posterior_logs([joint_ll(v) for v in remaining], log_v_prior)
-                   + _posterior_logs([joint_ll(BOTTOM)], log_beta))
+    log_weights = ([joint_ll(v) + log_v_prior for v in remaining]
+                   + [joint_ll(BOTTOM) + log_beta])
     return dict(zip(remaining + [BOTTOM], _normalise(log_weights, claims.item_id)))
 
 
@@ -203,7 +196,7 @@ def exact_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
         lls = [sum(map(getitem, cells, kinds[v])) for v in remaining]
         ll_bot = sum(cell[2] for cell in cells)
         log_v_prior, log_beta = priors[k]
-        log_weights = _posterior_logs(lls, log_v_prior) + _posterior_logs([ll_bot], log_beta)
+        log_weights = [ll + log_v_prior for ll in lls] + [ll_bot + log_beta]
         return _normalise(log_weights, claims.item_id)
 
     totals = _enumerate(m, cond_of, prune)

@@ -1,14 +1,14 @@
 """Name -> fusion-backend registry shared by the benchmark harness and
-the command line."""
+the command line, and the iteration settings each method runs with."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .approx import approx_fuse, approx_fuse_dataset
 from .baselines import accu_fuse, majority_vote, precrec_fuse, twostep_fuse
 from .exact import DEFAULT_CANDIDATE_CAP, exact_fuse
-from .quality import FusionBackend
+from .quality import FusionBackend, IterationConfig
 
 
 @dataclass(frozen=True)
@@ -64,3 +64,16 @@ def fusion_backend(name: str, exact_candidate_cap: int = DEFAULT_CANDIDATE_CAP) 
     except KeyError:
         raise ValueError(
             f"unknown method {name!r}; expected one of {sorted(FUSION_BACKENDS)}") from None
+
+
+# Backends whose per-item probabilities sum to one truth by construction;
+# see IterationConfig.update_slot_metrics.
+_SINGLE_TRUTH_METHODS = frozenset({"majority", "accu", "twostep"})
+
+
+def method_iteration_config(name: str, base: IterationConfig) -> IterationConfig:
+    """`base` as method `name` runs it: a single-truth method keeps its
+    initial precision, recall and false-positive rate."""
+    if name in _SINGLE_TRUTH_METHODS:
+        return replace(base, update_slot_metrics=False)
+    return base

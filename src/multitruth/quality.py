@@ -172,7 +172,9 @@ def iterate(dataset: Mapping[Any, ClaimSet], prior: PriorConfig,
     than the tolerance.  With max_iterations=0 this is a single fusion
     pass at the initial qualities.  Both halves of the loop run on one
     `ClaimIndex` of the dataset.  Each round clamps every quality once and
-    fuses on the clamped copies; the qualities returned are unclamped.
+    fuses on the clamped copies; the qualities returned are unclamped.  A
+    source whose accuracy is undefined in a round (see `source_metrics`)
+    keeps its previous accuracy, with a warning.
     """
     if not dataset:
         raise ValueError("empty dataset")
@@ -190,9 +192,11 @@ def iterate(dataset: Mapping[Any, ClaimSet], prior: PriorConfig,
         good_sources = set()
         precisions, recalls, accuracies = source_metrics(index, results, config.accuracy_mode)
         for s, p, r, a in zip(sources, precisions, recalls, accuracies):
-            if math.isnan(a):
-                raise ValueError(f"accuracy undefined for zero-precision source {s!r}")
             old = qualities[s]
+            if math.isnan(a):
+                log.warning("accuracy of source %r undefined at iteration %d; keeping %g",
+                            s, it, old.accuracy)
+                a = old.accuracy
             if config.update_slot_metrics:
                 q = derive_q(max(p, 1e-12), r, prior.alpha)
             else:

@@ -8,14 +8,14 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .methods import fusion_backend
-from .model import Claim, ClaimSet, GoldStandard, PriorConfig, claims_by_item
+from .methods import fusion_backend, method_iteration_config
+from .model import Claim, GoldStandard, PriorConfig, claims_by_item
 from .quality import IterationConfig, iterate
 
 log = logging.getLogger(__name__)
@@ -38,7 +38,6 @@ class SynthConfig:
     source_accuracy: float = 0.7
     source_recall: float = 0.7
     extra_ratio: float = 0.2
-    repetitions: int = 100
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -159,38 +158,24 @@ def _default_prior(config: SynthConfig) -> PriorConfig:
                        truth_count_dist=truth_count_distribution(config))
 
 
-# Backends whose per-item probabilities sum to one truth by construction;
-# see IterationConfig.update_slot_metrics.
-_SINGLE_TRUTH_METHODS = frozenset({"majority", "accu", "twostep"})
-
-
-def _method_iteration_config(name: str, base: IterationConfig) -> IterationConfig:
-    if name in _SINGLE_TRUTH_METHODS:
-        return replace(base, update_slot_metrics=False)
-    return base
-
-
-def _run_rep(config: SynthConfig, methods: Sequence[str], prior: Optional[PriorConfig],
-             iteration_config: IterationConfig, rep: int) -> Dict[str, Tuple[float, float, float]]:
+def _run_rep(config: SynthConfig, methods: Sequence[str],
+             rep: int) -> Dict[str, Tuple[float, float, float]]:
     cfg = replace(config, rng_seed=config.rng_seed + rep)
     claims, gold = generate(cfg)
     dataset = claims_by_item(claims)
-    fusion_prior = prior if prior is not None else _default_prior(cfg)
+    prior = _default_prior(cfg)
     scores = {}
     for name in methods:
-        results, _, _ = iterate(dataset, fusion_prior, fusion_backend(name),
-                                _method_iteration_config(name, iteration_config))
+        results, _, _ = iterate(dataset, prior, fusion_backend(name),
+                                method_iteration_config(name, IterationConfig()))
         predicted = {item: r.selected_truths for item, r in results.items()}
         scores[name] = evaluate(predicted, gold)
     return scores
 
 
 def compare(methods: Sequence[str], config: SynthConfig,
-            sweep: Optional[Mapping[str, Sequence[Any]]] = None,
-            prior: Optional[PriorConfig] = None,
-            iteration_config: IterationConfig = IterationConfig(),
-            repetitions: Optional[int] = None,
-            threads: Optional[int] = None) -> List[ComparisonRow]:
+            sweep: Optional[Mapping[str, Sequence[Any]]] = None, *,
+            repetitions: int, threads: Optional[int] = None) -> List[ComparisonRow]:
     """Run every method over `repetitions` generated datasets (optionally
     at each point of a parameter sweep) and report mean metrics.
 
@@ -201,7 +186,6 @@ def compare(methods: Sequence[str], config: SynthConfig,
         raise ValueError("need at least one method")
     for name in methods:
         fusion_backend(name)  # fail fast on unknown names
-    reps = repetitions if repetitions is not None else config.repetitions
     points: List[Tuple[str, Any]] = [("", None)]
     if sweep:
         points = [(param, value) for param, values in sweep.items() for value in values]
@@ -210,12 +194,11 @@ def compare(methods: Sequence[str], config: SynthConfig,
         cfg = config if value is None else replace(config, **{param: value})
         with ThreadPoolExecutor(max_workers=threads) as pool:
             per_rep = list(pool.map(
-                lambda r: _run_rep(cfg, methods, prior, iteration_config, r),
-                range(reps)))
+                lambda r: _run_rep(cfg, methods, r), range(repetitions)))
         for name in methods:
             triples = [scores[name] for scores in per_rep]
             means = [sum(t[j] for t in triples) / len(triples) for j in range(3)]
             rows.append(ComparisonRow(method=name, grid_param=param,
                                       grid_value=value, precision=means[0],
-                                      recall=means[1], f1=means[2], n_reps=reps))
+                                      recall=means[1], f1=means[2], n_reps=repetitions))
     return rows

@@ -102,6 +102,14 @@ class TestPrecRec:
         r = precrec_fuse(hockey_claims, q, self._prior())
         assert all(0.0 < p < 1.0 for p in r.probabilities.values())
 
+    def test_many_agreeing_sources_stay_finite(self):
+        # 400 odds factors of R/Q = 9 overflow the float range
+        cs = ClaimSet.from_claims("d", {f"s{j:03d}": ["a"] for j in range(400)})
+        q = SourceQuality(accuracy=0.9, recall=0.9, false_positive_rate=0.1, precision=0.9)
+        r = precrec_fuse(cs, dict.fromkeys(cs.per_source, q), self._prior())
+        assert r.probabilities == {"a": 1.0}
+        assert r.selected_truths == ["a"]
+
 
 class TestTwoStep:
     def _prior(self):

@@ -17,7 +17,7 @@ from multitruth import InstanceTooLargeError, IterationConfig, PriorConfig, iter
 from multitruth import io as mio
 from multitruth.synth import SynthConfig, generate
 from multitruth.cli import _CONFIG_KEYS, _load_run_config, main
-from multitruth.methods import FUSION_BACKENDS, fusion_backend
+from multitruth.methods import FUSION_BACKENDS, fusion_backend, method_iteration_config
 
 
 @pytest.fixture
@@ -53,11 +53,13 @@ class TestSynth:
 
     def test_unknown_config_key(self, runner, tmp_path):
         cfg = tmp_path / "synth.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
-        result = runner.invoke(main, ["synth", "--config", str(cfg),
-                                      "--out-claims", "c.csv", "--out-gold", "g.csv"])
-        assert result.exit_code == 2
-        assert "bogus" in result.output
+        for key in ("bogus", "repetitions"):
+            cfg.write_text(json.dumps({key: 5}))
+            result = runner.invoke(main, ["synth", "--config", str(cfg),
+                                          "--out-claims", str(tmp_path / "c.csv"),
+                                          "--out-gold", str(tmp_path / "g.csv")])
+            assert result.exit_code == 2, key
+            assert key in result.output
 
 
 class TestFuseEval:
@@ -94,6 +96,24 @@ class TestFuseEval:
                                           "--gold", str(gold)])
             scores[method] = json.loads(result.output.strip().splitlines()[-1])["f1"]
         assert scores["hybrid"] > scores["accu"]
+
+    def test_single_truth_fuse_keeps_slot_metrics(self, runner, tmp_path):
+        claims, _ = _synth(runner, tmp_path)
+        dataset, _ = mio.load_claims(claims)
+        _, qualities, _ = iterate(dataset, PriorConfig(), fusion_backend("accu"),
+                                  method_iteration_config("accu", IterationConfig()))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["fuse", "--method", "accu", "--claims", str(claims),
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        written = json.loads((tmp_path / "out.json").read_text())["source_qualities"]
+        init = IterationConfig().init_quality
+        assert written == {s: {"accuracy": q.accuracy, "recall": q.recall,
+                               "false_positive_rate": q.false_positive_rate,
+                               "precision": q.precision} for s, q in qualities.items()}
+        assert all((w["precision"], w["recall"], w["false_positive_rate"])
+                   == (init.precision, init.recall, init.false_positive_rate)
+                   for w in written.values())
 
     def test_run_config(self, runner, tmp_path):
         claims, _ = _synth(runner, tmp_path)
@@ -257,10 +277,19 @@ class TestCompareSweep:
         assert result.exit_code == 2
         assert "unknown method" in result.output
 
-    def test_bad_grid(self, runner):
-        result = runner.invoke(main, ["compare", "--methods", "accu",
-                                      "--grid", "nonsense", "--out", "r.csv"])
-        assert result.exit_code == 2
+    def test_bad_grid(self, runner, tmp_path):
+        for grid in ("nonsense", "repetitions=1,2", "num_sources=3.5"):
+            result = runner.invoke(main, ["compare", "--methods", "accu", "--grid", grid,
+                                          "--out", str(tmp_path / "r.csv")])
+            assert result.exit_code == 2, grid
+
+    def test_integer_grid(self, runner, tmp_path):
+        out = tmp_path / "report.csv"
+        result = runner.invoke(main, ["compare", "--methods", "majority", "--reps", "1",
+                                      "--grid", "num_sources=3,4", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        with out.open() as fh:
+            assert [r["grid_value"] for r in csv.DictReader(fh)] == ["3", "4"]
 
     def test_sweep_canned_grid(self, runner, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -1,6 +1,7 @@
 """Source-quality re-estimation and the alternating fusion loop."""
 
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -27,7 +28,7 @@ from multitruth.index import ClaimIndex
 from multitruth.methods import fusion_backend
 from multitruth.model import FusionDiagnostics, claims_by_item, Claim
 from multitruth.quality import source_metrics
-from multitruth.synth import SynthConfig, generate
+from multitruth.synth import SynthConfig, generate, truth_count_distribution
 
 
 def _result(item, probabilities):
@@ -191,6 +192,22 @@ class TestIterate:
                                     fusion_backend("accu"), cfg)
         assert "no source passes" in caplog.text
         assert len(results) == len(small_dataset)
+
+    @pytest.mark.parametrize("num_sources", [100, 400])
+    def test_many_sources_complete(self, num_sources, caplog):
+        # precrec's odds overflow at 100 sources; at 400 its probabilities
+        # for some items also underflow to 0, which leaves accuracy undefined
+        # for the sources covering them: those keep their previous accuracy
+        cfg = SynthConfig(num_sources=num_sources, num_items=20, rng_seed=1)
+        dataset = claims_by_item(generate(cfg)[0])
+        prior = PriorConfig(n=10, alpha=0.25, truth_count_dist=truth_count_distribution(cfg))
+        with caplog.at_level("WARNING"):
+            results, qualities, _ = iterate(dataset, prior, fusion_backend("precrec"))
+        assert len(results) == 20
+        undefined = re.search(r"accuracy of source 's\d+' undefined at iteration \d", caplog.text)
+        assert bool(undefined) == (num_sources == 400)
+        assert all(0.0 <= q.accuracy <= 1.0 for q in qualities.values())
+        assert all(0.0 <= p <= 1.0 for r in results.values() for p in r.probabilities.values())
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):

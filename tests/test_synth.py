@@ -16,7 +16,8 @@ from multitruth import (
     generate,
     truth_count_distribution,
 )
-from multitruth.synth import _method_iteration_config, _round_half_up
+from multitruth.methods import method_iteration_config
+from multitruth.synth import _round_half_up
 
 
 class TestConfig:
@@ -142,8 +143,8 @@ class TestCompare:
 
     def test_single_truth_methods_freeze_slot_metrics(self):
         base = IterationConfig()
-        assert not _method_iteration_config("accu", base).update_slot_metrics
-        assert not _method_iteration_config("majority", base).update_slot_metrics
-        assert not _method_iteration_config("twostep", base).update_slot_metrics
-        assert _method_iteration_config("hybrid", base).update_slot_metrics
-        assert _method_iteration_config("precrec", base).update_slot_metrics
+        assert not method_iteration_config("accu", base).update_slot_metrics
+        assert not method_iteration_config("majority", base).update_slot_metrics
+        assert not method_iteration_config("twostep", base).update_slot_metrics
+        assert method_iteration_config("hybrid", base).update_slot_metrics
+        assert method_iteration_config("precrec", base).update_slot_metrics
