@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 
 import numpy as np
 
-from .errors import FusionError, UnknownSourceError
+from .errors import FusionError
 from .index import ClaimIndex
 from .model import (
     ClaimSet,
@@ -36,6 +36,7 @@ from .model import (
     VoteCountFixture,
     beta_at,
     prior_slot_count,
+    quality_of,
     sort_values,
 )
 
@@ -50,7 +51,7 @@ def vote_count(value: Any, providers: Iterable[Any],
     neutral vote of 1."""
     total = 1.0
     for s in sorted(providers, key=str):
-        a = qualities[s].accuracy
+        a = quality_of(qualities, s).accuracy
         if a >= 1.0:
             raise FusionError(
                 f"infinite vote count for {value!r}: source {s!r} has accuracy 1; "
@@ -73,7 +74,7 @@ def bot_vote_count(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
     total = prefactor
     for s in sorted(claims.per_source, key=str):
         provided = claims.per_source[s]
-        q = qualities[s]
+        q = quality_of(qualities, s)
         if len(provided) > selected_count:
             total *= q.false_positive_rate / (q.recall * (1.0 - q.accuracy))
         else:
@@ -168,9 +169,7 @@ def _log_terms(qualities: Mapping[Any, SourceQuality], sources: Iterable[Any],
     more values than are selected, the log stop term once it did not)."""
     terms = {}
     for s in sources:
-        if s not in qualities:
-            raise UnknownSourceError(f"unknown source {s!r}: no quality entry")
-        q = qualities[s].clamped()
+        q = quality_of(qualities, s).clamped()
         a, r, f = q.accuracy, q.recall, q.false_positive_rate
         terms[s] = (math.log(n * a / (1.0 - a)),
                     math.log(f / (r * (1.0 - a))),
@@ -202,8 +201,6 @@ def approx_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
     e^700 below the largest vote, their sum underflows on that scale and
     this raises `FusionError`; `approx_fuse_dataset` normalises each step
     on its own and does not."""
-    if not claims.candidates:
-        raise ValueError(f"item {claims.item_id!r} has no candidate value")
     sources = sorted(claims.per_source, key=str)
     terms = _log_terms(qualities, sources, prior.n)
     log_votes = dict.fromkeys(claims.candidates, 0.0)
@@ -240,9 +237,6 @@ def approx_fuse_dataset(index: ClaimIndex, qualities: Mapping[Any, SourceQuality
     One pass: each quality is clamped once, the log votes and log stop
     votes are sums over the claim arrays in source order, and the step
     loop runs over many items at once in the log domain."""
-    empty = np.flatnonzero(index.cand_count == 0)
-    if empty.size:
-        raise ValueError(f"item {index.item_ids[empty[0]]!r} has no candidate value")
     mask = index.source_mask(active)
     terms = _log_terms(qualities, [s for s, on in zip(index.sources, mask) if on], prior.n)
     # an inactive source's terms are 0, which leaves every sum it enters

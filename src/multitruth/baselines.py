@@ -16,6 +16,8 @@ from .model import (
     PriorConfig,
     SourceQuality,
     clamp,
+    quality_of,
+    sort_values,
 )
 
 log = logging.getLogger(__name__)
@@ -25,8 +27,6 @@ def majority_vote(claims: ClaimSet) -> FusionResult:
     """Single truth = the value with the most providers; the reported
     per-value numbers are provider counts scaled by the winner's count
     (diagnostic only, not calibrated; all 1 when no source is active)."""
-    if not claims.candidates:
-        raise ValueError(f"item {claims.item_id!r} has no candidate value")
     counts = dict.fromkeys(claims.candidates, 0)
     for values in claims.per_source.values():
         for v in values:
@@ -51,7 +51,7 @@ def _accuracy_votes(claims: ClaimSet, qualities: Mapping[Any, SourceQuality], n:
     """Each value's product of n*A/(1-A) over its providers, in source order."""
     votes = dict.fromkeys(claims.candidates, 1.0)
     for s in sorted(claims.per_source, key=str):
-        a = clamp(qualities[s].accuracy)
+        a = clamp(quality_of(qualities, s).accuracy)
         factor = n * a / (1.0 - a)
         for v in claims.per_source[s]:
             votes[v] *= factor
@@ -61,12 +61,10 @@ def _accuracy_votes(claims: ClaimSet, qualities: Mapping[Any, SourceQuality], n:
 def accu_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality], n: int) -> FusionResult:
     """Single-truth fusion: normalize accuracy vote counts over all
     provided values; exactly one truth is selected."""
-    if not claims.candidates:
-        raise ValueError(f"item {claims.item_id!r} has no candidate value")
     votes = _accuracy_votes(claims, qualities, n)
     total = math.fsum(votes.values())
     probabilities = {v: l / total for v, l in votes.items()}
-    ranked = sorted(probabilities, key=lambda v: (-probabilities[v], str(v)))
+    ranked = sort_values(probabilities)
     diag = FusionDiagnostics(method="accu")
     top_p = probabilities[ranked[0]]
     ties = [v for v in ranked if probabilities[v] == top_p]
@@ -81,11 +79,10 @@ def precrec_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
     """Independent per-value decision from posterior odds: providers
     contribute R/Q, item sources that abstain contribute (1-R)/(1-Q);
     a value is true when its probability clears 0.5."""
-    if not claims.candidates:
-        raise ValueError(f"item {claims.item_id!r} has no candidate value")
     terms = []
     for s, values in claims.per_source.items():
-        r, fp = clamp(qualities[s].recall), clamp(qualities[s].false_positive_rate)
+        q = quality_of(qualities, s)
+        r, fp = clamp(q.recall), clamp(q.false_positive_rate)
         terms.append((values, r / fp, (1.0 - r) / (1.0 - fp)))
     prior_odds = prior.alpha / (1.0 - prior.alpha)
     probabilities = {}
@@ -95,8 +92,7 @@ def precrec_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
             odds *= provided if v in values else abstained
         # past the float range, the odds overflow to inf and inf/inf is nan
         probabilities[v] = 1.0 if odds == math.inf else odds / (1.0 + odds)
-    selected = sorted((v for v, p in probabilities.items() if p > 0.5),
-                      key=lambda v: (-probabilities[v], str(v)))
+    selected = sort_values({v: p for v, p in probabilities.items() if p > 0.5})
     return FusionResult(item_id=claims.item_id, probabilities=probabilities,
                         selected_truths=selected,
                         diagnostics=FusionDiagnostics(method="precrec"))
@@ -107,8 +103,6 @@ def twostep_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
     """First decide the number of truths k by single-truth fusion over the
     per-source value counts, then select the k values ranked highest by
     single-truth fusion over the real values."""
-    if not claims.candidates:
-        raise ValueError(f"item {claims.item_id!r} has no candidate value")
     diag = FusionDiagnostics(method="twostep")
     if not claims.per_source:
         k = 1
@@ -124,8 +118,7 @@ def twostep_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
         if len(tied) > 1:
             diag.notes.append(f"truth-count tie among {tied}; selected smallest k={k}")
     value_result = accu_fuse(claims, qualities, prior.n)
-    ranked = sorted(value_result.probabilities,
-                    key=lambda v: (-value_result.probabilities[v], str(v)))
+    ranked = sort_values(value_result.probabilities)
     return FusionResult(item_id=claims.item_id,
                         probabilities=value_result.probabilities,
                         selected_truths=ranked[:k], diagnostics=diag)

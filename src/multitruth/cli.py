@@ -17,7 +17,6 @@ import click
 
 from . import io as mio
 from .errors import FusionError
-from .exact import DEFAULT_CANDIDATE_CAP
 from .methods import FUSION_BACKENDS, fusion_backend, method_iteration_config
 from .model import PriorConfig, SourceQuality
 from .quality import IterationConfig, iterate
@@ -27,7 +26,7 @@ log = logging.getLogger(__name__)
 
 _CONFIG_KEYS = {
     "n", "alpha", "truth_count_dist", "init_quality", "max_iterations",
-    "prior_mode", "accuracy_mode", "exact_candidate_cap",
+    "prior_mode", "accuracy_mode",
 }
 
 
@@ -62,11 +61,9 @@ def _load_run_config(path, method: str):
             init_quality=init_quality,
             max_iterations=int(raw.get("max_iterations", defaults.max_iterations)),
             accuracy_mode=raw.get("accuracy_mode", defaults.accuracy_mode))
-        exact_candidate_cap = int(raw.get("exact_candidate_cap", DEFAULT_CANDIDATE_CAP))
     except ValueError as exc:
         raise click.UsageError(f"invalid config: {exc}")
-    return (prior, fusion_backend(method, exact_candidate_cap=exact_candidate_cap),
-            method_iteration_config(method, iter_cfg))
+    return prior, fusion_backend(method), method_iteration_config(method, iter_cfg)
 
 
 @click.group()

@@ -18,7 +18,7 @@ import math
 from operator import getitem
 from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
-from .errors import DegenerateEvidenceError, InstanceTooLargeError, UnknownSourceError
+from .errors import DegenerateEvidenceError, InstanceTooLargeError
 from .likelihood import (
     LOG_ZERO,
     category_counts,
@@ -37,6 +37,8 @@ from .model import (
     VoteCountFixture,
     beta_at,
     prior_slot_count,
+    quality_of,
+    sort_values,
 )
 
 DEFAULT_CANDIDATE_CAP = 12
@@ -74,7 +76,8 @@ def conditional_distribution(claims: ClaimSet, qualities: Mapping[Any, SourceQua
     BOTTOM, of being the next truth after `selected`.  Evaluates every
     source's likelihood on the hypothesized sets themselves; `exact_fuse`
     reaches the same numbers from category counts."""
-    source_probs = {s: category_probs(q, prior.n) for s, q in qualities.items()}
+    source_probs = {s: category_probs(quality_of(qualities, s), prior.n)
+                    for s in claims.per_source}
     selected_seq = tuple(frozenset(selected))
     remaining = sorted(claims.candidates - frozenset(selected), key=str)
     log_v_prior, log_beta = _prior_logs(len(claims.candidates), prior, len(selected))
@@ -159,8 +162,7 @@ class _SourceCells(dict):
 
 
 def _select(probabilities: Dict[Any, float]):
-    chosen = [v for v, p in probabilities.items() if p > 0.5]
-    return sorted(chosen, key=lambda v: (-probabilities[v], str(v)))
+    return sort_values({v: p for v, p in probabilities.items() if p > 0.5})
 
 
 def exact_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
@@ -172,16 +174,13 @@ def exact_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
         raise InstanceTooLargeError(
             f"instance too large for exact enumeration ({len(claims.candidates)} candidates "
             f"> cap {max_candidates}); use the approximation")
-    for source in claims.per_source:
-        if source not in qualities:
-            raise UnknownSourceError(f"unknown source {source!r}: no quality entry")
     values = sorted(claims.candidates, key=str)
     index = {v: i for i, v in enumerate(values)}
     m = len(values)
     priors = [_prior_logs(m, prior, k) for k in range(m + 1)]
     sources = [(sum(1 << index[v] for v in provided),
-                _SourceCells(category_log_probs(category_probs(qualities[source], prior.n)),
-                             len(provided)))
+                _SourceCells(category_log_probs(
+                    category_probs(quality_of(qualities, source), prior.n)), len(provided)))
                for source, provided in claims.per_source.items()]
 
     # where a candidate's log-likelihood sits in a source's cell: 0 if the

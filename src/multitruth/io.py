@@ -9,8 +9,9 @@ import csv
 import json
 import logging
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import ParseError
 from .model import (
@@ -46,20 +47,27 @@ def _detect_format(path: Path, fmt: Optional[str]) -> str:
     raise ParseError(f"cannot infer claims format from {path.name!r}; pass format explicitly")
 
 
+def _csv_rows(path: Path, kind: str, columns: Sequence[str], optional: Sequence[str] = ()):
+    """Every data row of a CSV `kind` file with a header.  The header must
+    have `columns`; every row must fill them and the `optional` columns the
+    header has."""
+    with path.open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ParseError(f"empty {kind} file {path}")
+        missing = set(columns) - set(reader.fieldnames)
+        if missing:
+            raise ParseError(f"{kind} file {path} lacks columns {sorted(missing)}", line=1)
+        required = [*columns, *(c for c in optional if c in reader.fieldnames)]
+        for row in reader:
+            if not all(map(row.get, required)):  # a missing or empty field
+                raise ParseError(f"malformed {kind} row in {path}", line=reader.line_num)
+            yield row
+
+
 def _iter_claim_rows(path: Path, fmt: str):
     if fmt == "csv":
-        with path.open(newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise ParseError(f"empty claims file {path}")
-            missing = set(CLAIM_COLUMNS) - set(reader.fieldnames)
-            if missing:
-                raise ParseError(f"claims file {path} lacks columns {sorted(missing)}", line=1)
-            for row in reader:
-                line = reader.line_num
-                if any(row.get(c) in (None, "") for c in CLAIM_COLUMNS):
-                    raise ParseError(f"malformed claims row in {path}", line=line)
-                yield line, row["source_id"], row["item_id"], row["value"]
+        yield from map(itemgetter(*CLAIM_COLUMNS), _csv_rows(path, "claims", CLAIM_COLUMNS))
     elif fmt == "jsonl":
         with path.open() as fh:
             for line_no, raw in enumerate(fh, start=1):
@@ -71,7 +79,7 @@ def _iter_claim_rows(path: Path, fmt: str):
                 except json.JSONDecodeError as exc:
                     raise ParseError(f"invalid JSON in {path}: {exc.msg}", line=line_no) from exc
                 try:
-                    yield line_no, obj["source"], obj["item"], obj["value"]
+                    yield obj["source"], obj["item"], obj["value"]
                 except (TypeError, KeyError):
                     raise ParseError(f"claims object needs source/item/value keys in {path}",
                                      line=line_no) from None
@@ -86,7 +94,7 @@ def load_claims(path, fmt: Optional[str] = None) -> Tuple[Dict[Any, ClaimSet], L
     path = Path(path)
     fmt = _detect_format(path, fmt)
     claims = [Claim(source_id=source, item_id=item, value=value)
-              for _, source, item, value in _iter_claim_rows(path, fmt)]
+              for source, item, value in _iter_claim_rows(path, fmt)]
     if not claims:
         raise ParseError(f"no claims found in {path}")
     dataset = claims_by_item(claims)
@@ -102,17 +110,8 @@ def load_gold(path) -> GoldStandard:
     """Read a gold standard CSV (`item_id,value`, one row per true value)."""
     path = Path(path)
     truths: Dict[Any, set] = {}
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseError(f"empty gold file {path}")
-        missing = {"item_id", "value"} - set(reader.fieldnames)
-        if missing:
-            raise ParseError(f"gold file {path} lacks columns {sorted(missing)}", line=1)
-        for row in reader:
-            if row.get("item_id") in (None, "") or row.get("value") in (None, ""):
-                raise ParseError(f"malformed gold row in {path}", line=reader.line_num)
-            truths.setdefault(row["item_id"], set()).add(normalize_value(row["value"]))
+    for row in _csv_rows(path, "gold", ("item_id", "value")):
+        truths.setdefault(row["item_id"], set()).add(normalize_value(row["value"]))
     if not truths:
         raise ParseError(f"no gold values found in {path}")
     return GoldStandard(truths=truths)
@@ -193,18 +192,10 @@ def write_report_csv(rows, path) -> None:
 def load_predictions(path) -> Dict[Any, set]:
     """Read predicted truths: either a plain `item_id,value` CSV or a
     fusion output CSV, in which case only rows marked selected count."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseError(f"empty predictions file {path}")
-        has_selected = "selected" in reader.fieldnames
-        missing = {"item_id", "value"} - set(reader.fieldnames)
-        if missing:
-            raise ParseError(f"predictions file {path} lacks columns {sorted(missing)}", line=1)
-        predicted: Dict[Any, set] = {}
-        for row in reader:
-            if has_selected and row["selected"].strip().lower() not in ("true", "1", "yes"):
-                continue
-            predicted.setdefault(row["item_id"], set()).add(normalize_value(row["value"]))
+    predicted: Dict[Any, set] = {}
+    for row in _csv_rows(Path(path), "predictions", ("item_id", "value"), ("selected",)):
+        selected = row.get("selected")
+        if selected is not None and selected.strip().lower() not in ("true", "1", "yes"):
+            continue
+        predicted.setdefault(row["item_id"], set()).add(normalize_value(row["value"]))
     return predicted

@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence, Tuple, Union
 
-from .errors import UnknownSourceError
-from .model import BOTTOM, ClaimSet, SourceQuality, _Bottom
+from .model import BOTTOM, ClaimSet, SourceQuality, _Bottom, quality_of
 
 Candidate = Union[Any, _Bottom]
 
@@ -119,11 +118,8 @@ def joint_likelihood(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
                      selected: Sequence[Any], candidate: Candidate, n: int) -> float:
     """Log-likelihood of all observations on one item, assuming source
     independence."""
-    probs = {}
-    for source in claims.per_source:
-        if source not in qualities:
-            raise UnknownSourceError(f"unknown source {source!r}: no quality entry")
-        probs[source] = category_probs(qualities[source], n)
+    probs = {source: category_probs(quality_of(qualities, source), n)
+             for source in claims.per_source}
     total = 0.0
     for source, provided in claims.per_source.items():
         ll = source_likelihood(provided, selected, candidate, probs[source])

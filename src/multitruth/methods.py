@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 from .approx import approx_fuse, approx_fuse_dataset
 from .baselines import accu_fuse, majority_vote, precrec_fuse, twostep_fuse
-from .exact import DEFAULT_CANDIDATE_CAP, exact_fuse
+from .exact import exact_fuse
 from .quality import FusionBackend, IterationConfig
 
 
@@ -23,18 +23,6 @@ class HybridBackend:
         return approx_fuse_dataset(index, qualities, prior, active)
 
 
-@dataclass(frozen=True)
-class ExactBackend:
-    """Possible-world enumeration, item by item, on the qualities it is
-    given: `iterate` hands it qualities clamped once per round, and
-    `exact_fuse` raises `UnknownSourceError` for a source left out."""
-
-    max_candidates: int = DEFAULT_CANDIDATE_CAP
-
-    def __call__(self, claims, qualities, prior):
-        return exact_fuse(claims, qualities, prior, max_candidates=self.max_candidates)
-
-
 def _accu(claims, qualities, prior):
     return accu_fuse(claims, qualities, prior.n)
 
@@ -45,7 +33,8 @@ def _majority(claims, qualities, prior):
 
 FUSION_BACKENDS: dict[str, FusionBackend] = {
     "hybrid": HybridBackend(),
-    "hybrid-exact": ExactBackend(),
+    # item by item, on the qualities `iterate` clamps once per round
+    "hybrid-exact": exact_fuse,
     "accu": _accu,
     "precrec": precrec_fuse,
     "twostep": twostep_fuse,
@@ -53,12 +42,8 @@ FUSION_BACKENDS: dict[str, FusionBackend] = {
 }
 
 
-def fusion_backend(name: str, exact_candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> FusionBackend:
-    """The backend registered under `name`; `hybrid-exact` takes the
-    candidate cap, and equals (and hashes like) its registry entry at the
-    default cap."""
-    if name == "hybrid-exact":
-        return ExactBackend(exact_candidate_cap)
+def fusion_backend(name: str) -> FusionBackend:
+    """The backend registered under `name`."""
     try:
         return FUSION_BACKENDS[name]
     except KeyError:

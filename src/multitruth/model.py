@@ -12,6 +12,8 @@ import unicodedata
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
+from .errors import UnknownSourceError
+
 log = logging.getLogger(__name__)
 
 # Cap on beta so the odds factor beta/(1-beta) stays finite past the
@@ -58,12 +60,16 @@ class ClaimSet:
 
     `per_source` maps each source to the set of values it provides, and
     is the only form of the item's evidence; `candidates` is the union of
-    those sets.
+    those sets, and never empty.
     """
 
     item_id: Any
     per_source: Mapping[Any, frozenset]
     candidates: frozenset
+
+    def __post_init__(self):
+        if not self.candidates:
+            raise ValueError(f"item {self.item_id!r} has no candidate value")
 
     @classmethod
     def from_claims(cls, item_id: Any, per_source: Mapping[Any, Iterable]) -> "ClaimSet":
@@ -73,8 +79,7 @@ class ClaimSet:
             if not vs:
                 raise ValueError(f"source {source!r} provides no value for item {item_id!r}")
             psi[source] = vs
-        candidates = frozenset().union(*psi.values()) if psi else frozenset()
-        return cls(item_id=item_id, per_source=psi, candidates=candidates)
+        return cls(item_id=item_id, per_source=psi, candidates=frozenset().union(*psi.values()))
 
     def restrict(self, active_sources: Iterable[Any]) -> "ClaimSet":
         """View of this item with only `active_sources` contributing
@@ -123,6 +128,14 @@ class SourceQuality:
         """Copy with every field passed through `clamp`."""
         return SourceQuality(clamp(self.accuracy), clamp(self.recall),
                              clamp(self.false_positive_rate), clamp(self.precision))
+
+
+def quality_of(qualities: Mapping[Any, SourceQuality], source: Any) -> SourceQuality:
+    """The quality entry of `source`; `UnknownSourceError` if it has none."""
+    try:
+        return qualities[source]
+    except KeyError:
+        raise UnknownSourceError(f"unknown source {source!r}: no quality entry") from None
 
 
 def clamp(x: float) -> float:

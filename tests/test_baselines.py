@@ -13,7 +13,10 @@ from multitruth import (
     IterationConfig,
     PriorConfig,
     SourceQuality,
+    UnknownSourceError,
     accu_fuse,
+    conditional_prob,
+    fixture_from_qualities,
     iterate,
     majority_vote,
     precrec_fuse,
@@ -39,11 +42,6 @@ class TestMajority:
     def test_clear_winner(self):
         cs = ClaimSet.from_claims("d", {"s1": ["a"], "s2": ["a"], "s3": ["b"]})
         assert majority_vote(cs).selected_truths == ["a"]
-
-    def test_empty_rejected(self):
-        cs = ClaimSet(item_id="d", per_source={}, candidates=frozenset())
-        with pytest.raises(ValueError):
-            majority_vote(cs)
 
 
 class TestAccu:
@@ -184,6 +182,21 @@ class TestNoActiveSource:
             lone = results["lone"]
             assert lone.selected_truths == ["va"]
             assert any("no active source" in n for n in lone.diagnostics.notes)
+
+
+_QUALITY_READERS = {
+    **{name: FUSION_BACKENDS[name] for name in sorted(FUSION_BACKENDS) if name != "majority"},
+    "fixture_from_qualities": fixture_from_qualities,
+    "conditional_prob": lambda claims, qualities, prior:
+        conditional_prob(claims, qualities, prior, [], "a"),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(_QUALITY_READERS))
+def test_source_without_quality_is_a_typed_error(engine):
+    cs = ClaimSet.from_claims("d", {"s1": ["a"]})
+    with pytest.raises(UnknownSourceError, match="'s1'"):
+        _QUALITY_READERS[engine](cs, {}, PriorConfig())
 
 
 # The per-(value, source) loops the baselines ran on an inverse index

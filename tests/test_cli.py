@@ -169,17 +169,16 @@ class TestFuseEval:
                                         str(claims), "--config", str(cfg),
                                         "--out", str(tmp_path / "o")])
 
-        dist = {"truth_count_dist": {"1": 0.5, "2": 0.5}}
-        assert fuse(dist).exit_code == 0
-        assert isinstance(fuse({**dist, "exact_candidate_cap": 3}).exception,
-                          InstanceTooLargeError)
+        assert fuse({"truth_count_dist": {"1": 0.5, "2": 0.5}}).exit_code == 0
+        # the same path rewritten as a default synth file, whose items have
+        # about 30 candidates, above the exact engine's cap
+        assert _synth(runner, tmp_path)[0] == claims
+        assert isinstance(fuse({}).exception, InstanceTooLargeError)
 
     def test_registry_backends_are_the_configured_defaults(self):
         for name, backend in FUSION_BACKENDS.items():
             assert fusion_backend(name) == backend
             assert hash(fusion_backend(name)) == hash(backend)
-        assert (fusion_backend("hybrid-exact", exact_candidate_cap=5)
-                != FUSION_BACKENDS["hybrid-exact"])
 
     def test_each_config_key_sets_the_field_the_readme_names(self, tmp_path):
         # key -> (a value other than its default, the field the README's
@@ -192,7 +191,6 @@ class TestFuseEval:
             "init_quality": ({"A": 0.7}, "IterationConfig.init_quality"),
             "max_iterations": (2, "IterationConfig.max_iterations"),
             "accuracy_mode": ("literal", "IterationConfig.accuracy_mode"),
-            "exact_candidate_cap": (5, "ExactBackend.max_candidates"),
         }
         assert set(table) == _CONFIG_KEYS
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -200,8 +198,10 @@ class TestFuseEval:
                 if line.startswith("| `")}
 
         def fields(loaded):
+            prior, backend, iter_cfg = loaded
+            assert backend is FUSION_BACKENDS["hybrid-exact"]
             return {f"{type(obj).__name__}.{f.name}": getattr(obj, f.name)
-                    for obj in loaded for f in dataclasses.fields(obj)}
+                    for obj in (prior, iter_cfg) for f in dataclasses.fields(obj)}
 
         defaults = fields(_load_run_config(None, "hybrid-exact"))
         cfg = tmp_path / "run.json"
@@ -221,6 +221,7 @@ class TestFuseEval:
         claims, _ = _synth(runner, tmp_path)
         cfg = tmp_path / "run.json"
         for config, message in (({"nope": 1}, "invalid config keys"),
+                                ({"exact_candidate_cap": 5}, "invalid config keys"),
                                 ({"prior_mode": "bogus"}, "invalid prior_mode 'bogus'"),
                                 ({"accuracy_mode": "bogus"}, "invalid accuracy_mode 'bogus'")):
             cfg.write_text(json.dumps(config))
@@ -234,12 +235,11 @@ class TestFuseEval:
         claims = tmp_path / "claims.csv"
         claims.write_text("source_id,item_id,value\ns1,d1,a\n")
         cfg = tmp_path / "run.json"
-        for key in ("max_iterations", "exact_candidate_cap"):
-            cfg.write_text(json.dumps({key: "abc"}))
-            result = runner.invoke(main, ["fuse", "--method", "hybrid", "--claims", str(claims),
-                                          "--config", str(cfg), "--out", "o"])
-            assert result.exit_code == 2, key
-            assert "invalid config" in result.output, key
+        cfg.write_text(json.dumps({"max_iterations": "abc"}))
+        result = runner.invoke(main, ["fuse", "--method", "hybrid", "--claims", str(claims),
+                                      "--config", str(cfg), "--out", "o"])
+        assert result.exit_code == 2
+        assert "invalid config" in result.output
 
     def test_missing_claims_file(self, runner):
         result = runner.invoke(main, ["fuse", "--method", "hybrid",

@@ -119,6 +119,14 @@ class TestProbabilities:
         assert "0.912346" in text  # 6 significant digits
         assert text.splitlines()[0] == "item_id,value,probability,selected"
 
+    def test_malformed_prediction_rows_report_line(self, tmp_path):
+        path = tmp_path / "pred.csv"
+        for text in ("item_id,value,probability,selected\nd1,a,0.9,true\nd1,b,0.1\n",
+                     "item_id,value\nd1,a\n,b\n"):
+            path.write_text(text)
+            with pytest.raises(ParseError, match="malformed predictions row.*line 3"):
+                mio.load_predictions(path)
+
     def test_plain_prediction_csv(self, tmp_path):
         path = tmp_path / "pred.csv"
         path.write_text("item_id,value\nd1,a\nd1,b\n")

@@ -49,6 +49,13 @@ class TestClaimSet:
         with pytest.raises(ValueError, match="provides no value"):
             ClaimSet.from_claims("d", {"s": []})
 
+    def test_empty_item_rejected(self):
+        # every engine relies on this: an item has at least one candidate
+        with pytest.raises(ValueError, match="item 'd' has no candidate value"):
+            ClaimSet(item_id="d", per_source={}, candidates=frozenset())
+        with pytest.raises(ValueError, match="item 'd' has no candidate value"):
+            ClaimSet.from_claims("d", {})
+
     def test_restrict_keeps_candidates(self, hockey_claims):
         sub = hockey_claims.restrict({"s1"})
         assert sub.candidates == hockey_claims.candidates
