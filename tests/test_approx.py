@@ -154,6 +154,12 @@ class TestApproxFuse:
         assert r.probabilities["helmet"] > 0.8
         assert r.probabilities["boots"] < 0.3
 
+    def test_empty_item_rejected(self, hockey_qualities, hockey_prior):
+        # ClaimSet refuses the item, so approx_fuse never sees it
+        with pytest.raises(ValueError, match="no candidate"):
+            claims = ClaimSet(item_id="d", per_source={}, candidates=frozenset())
+            approx_fuse(claims, hockey_qualities, hockey_prior)
+
     def test_record_steps_off(self, hockey_claims, hockey_qualities, hockey_prior):
         r = approx_fuse(hockey_claims, hockey_qualities, hockey_prior)
         assert r.diagnostics.steps is None
@@ -376,6 +382,12 @@ class TestDatasetPass:
         whole = approx_fuse_dataset(index, qualities, prior)
         monkeypatch.setattr(approx, "BLOCK_CELLS", 40)
         assert repr(approx_fuse_dataset(index, qualities, prior)) == repr(whole)
+
+    def test_item_without_candidates_rejected(self, hockey_qualities, hockey_prior):
+        # ClaimSet.from_claims refuses the item, so no index holds it
+        with pytest.raises(ValueError, match="no candidate"):
+            index = ClaimIndex({"d": ClaimSet.from_claims("d", {})})
+            approx_fuse_dataset(index, hockey_qualities, hockey_prior)
 
     def test_unknown_active_source_rejected(self, hockey_claims, hockey_prior):
         index = ClaimIndex({"d": hockey_claims})

@@ -43,6 +43,12 @@ class TestMajority:
         cs = ClaimSet.from_claims("d", {"s1": ["a"], "s2": ["a"], "s3": ["b"]})
         assert majority_vote(cs).selected_truths == ["a"]
 
+    def test_empty_rejected(self):
+        # ClaimSet refuses the item, so majority_vote never sees it
+        with pytest.raises(ValueError):
+            cs = ClaimSet(item_id="d", per_source={}, candidates=frozenset())
+            majority_vote(cs)
+
 
 class TestAccu:
     def test_running_example(self, hockey_claims):
