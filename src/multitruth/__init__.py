@@ -1,4 +1,4 @@
-"""Multi-truth data fusion: given conflicting (item, value, source)
+"""Multi-truth data fusion: given conflicting (source, item, value)
 claims, jointly decide how many values are true per item and which ones.
 """
 

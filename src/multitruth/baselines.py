@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import logging
 import math
-from typing import Any, Mapping
+from typing import Any, Dict, Mapping
 
 from .model import (
     ClaimSet,
@@ -100,20 +100,22 @@ def precrec_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
 
 def twostep_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
                  prior: PriorConfig) -> FusionResult:
-    """First decide the number of truths k by single-truth fusion over the
-    per-source value counts, then select the k values ranked highest by
+    """Decide the number of truths k by single-truth fusion, in log-odds, over
+    the per-source value counts, then select the k values ranked highest by
     single-truth fusion over the real values."""
     diag = FusionDiagnostics(method="twostep")
     if not claims.per_source:
         k = 1
         diag.notes.append(f"no active source provided item {claims.item_id!r}; k=1")
     else:
-        cardinalities = ClaimSet.from_claims((claims.item_id, "#truths"),
-                                             {s: [len(vs)] for s, vs in claims.per_source.items()})
         n_card = max(len(vs) for vs in claims.per_source.values())
-        card_result = accu_fuse(cardinalities, qualities, n_card)
-        top_p = max(card_result.probabilities.values())
-        tied = sorted(k for k, p in card_result.probabilities.items() if p == top_p)
+        logs: Dict[int, list] = {}
+        for s, values in claims.per_source.items():
+            a = clamp(quality_of(qualities, s).accuracy)
+            logs.setdefault(len(values), []).append(math.log(n_card * a / (1.0 - a)))
+        # fsum rounds once, so counts backed by equal accuracies tie in any source order
+        top = max(map(math.fsum, logs.values()))
+        tied = sorted(c for c, terms in logs.items() if math.fsum(terms) == top)
         k = tied[0]
         if len(tied) > 1:
             diag.notes.append(f"truth-count tie among {tied}; selected smallest k={k}")

@@ -28,21 +28,28 @@ _CONFIG_KEYS = {
     "n", "alpha", "truth_count_dist", "init_quality", "max_iterations",
     "prior_mode", "accuracy_mode",
 }
+_SYNTH_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SynthConfig)}
+
+
+def _read_config(path, keys, kind: str) -> dict:
+    """The JSON object in the config file `path`, with keys among `keys`."""
+    try:
+        raw = json.loads(Path(path).read_text()) if path is not None else {}
+    except (OSError, json.JSONDecodeError) as exc:
+        raise click.UsageError(f"cannot read config {path}: {exc}")
+    if not isinstance(raw, dict):
+        raise click.UsageError(f"invalid {kind}: expected a JSON object, got {type(raw).__name__}")
+    unknown = set(raw) - keys
+    if unknown:
+        raise click.UsageError(f"invalid {kind} keys: {sorted(unknown)}")
+    return raw
 
 
 def _load_run_config(path, method: str):
     """The prior, the fusion backend for `method` and the iteration
     settings `method` runs with, as a JSON run configuration gives them
     (defaults where it is absent)."""
-    raw = {}
-    if path is not None:
-        try:
-            raw = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise click.UsageError(f"cannot read config {path}: {exc}")
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise click.UsageError(f"invalid config keys: {sorted(unknown)}")
+    raw = _read_config(path, _CONFIG_KEYS, "config")
     defaults = IterationConfig()
     try:
         dist = raw.get("truth_count_dist")
@@ -61,7 +68,7 @@ def _load_run_config(path, method: str):
             init_quality=init_quality,
             max_iterations=int(raw.get("max_iterations", defaults.max_iterations)),
             accuracy_mode=raw.get("accuracy_mode", defaults.accuracy_mode))
-    except ValueError as exc:
+    except (AttributeError, TypeError, ValueError) as exc:  # also a value of the wrong type
         raise click.UsageError(f"invalid config: {exc}")
     return prior, fusion_backend(method), method_iteration_config(method, iter_cfg)
 
@@ -103,16 +110,7 @@ def fuse(method, claims_path, config_path, out_prefix):
 @click.option("--out-gold", required=True, help="Gold CSV to write.")
 def synth(config_path, seed, out_claims, out_gold):
     """Generate a synthetic dataset with known ground truth."""
-    raw = {}
-    if config_path is not None:
-        try:
-            raw = json.loads(Path(config_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise click.UsageError(f"cannot read config {config_path}: {exc}")
-    fields = {f.name for f in dataclasses.fields(SynthConfig)}
-    unknown = set(raw) - fields
-    if unknown:
-        raise click.UsageError(f"invalid synth config keys: {sorted(unknown)}")
+    raw = _read_config(config_path, _SYNTH_DEFAULTS.keys(), "synth config")
     if seed is not None:
         raw["rng_seed"] = seed
     try:
@@ -154,10 +152,9 @@ def _parse_grid(spec: str):
         raise click.UsageError(f"cannot parse grid {spec!r}; expected param=v1,v2,...")
     if not parsed:
         raise click.UsageError(f"empty grid {spec!r}")
-    defaults = {f.name: f.default for f in dataclasses.fields(SynthConfig)}
-    if param not in defaults:
+    if param not in _SYNTH_DEFAULTS:
         raise click.UsageError(f"unknown grid parameter {param!r}")
-    if isinstance(defaults[param], int):
+    if isinstance(_SYNTH_DEFAULTS[param], int):
         if not all(v.is_integer() for v in parsed):
             raise click.UsageError(f"grid parameter {param!r} takes integers")
         parsed = [int(v) for v in parsed]

@@ -48,41 +48,46 @@ def _detect_format(path: Path, fmt: Optional[str]) -> str:
 
 
 def _csv_rows(path: Path, kind: str, columns: Sequence[str], optional: Sequence[str] = ()):
-    """Every data row of a CSV `kind` file with a header.  The header must
-    have `columns`; every row must fill them and the `optional` columns the
-    header has."""
+    """Each data row of a CSV `kind` file as a tuple of its `columns`, which the
+    header must have, then of the `optional` columns the header has (a name
+    given twice means its last column); each must hold more than whitespace."""
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ParseError(f"empty {kind} file {path}")
-        missing = set(columns) - set(reader.fieldnames)
+        index = {name: i for i, name in enumerate(header)}
+        missing = set(columns) - index.keys()
         if missing:
             raise ParseError(f"{kind} file {path} lacks columns {sorted(missing)}", line=1)
-        required = [*columns, *(c for c in optional if c in reader.fieldnames)]
-        for row in reader:
-            if not all(map(row.get, required)):  # a missing or empty field
+        wanted = [index[c] for c in (*columns, *(c for c in optional if c in index))]
+        pick, width = itemgetter(*wanted), max(wanted) + 1
+        for row in filter(None, reader):  # skips blank lines
+            if len(row) < width or not all(map(str.strip, fields := pick(row))):
                 raise ParseError(f"malformed {kind} row in {path}", line=reader.line_num)
-            yield row
+            yield fields
 
 
 def _iter_claim_rows(path: Path, fmt: str):
     if fmt == "csv":
-        yield from map(itemgetter(*CLAIM_COLUMNS), _csv_rows(path, "claims", CLAIM_COLUMNS))
+        yield from _csv_rows(path, "claims", CLAIM_COLUMNS)
     elif fmt == "jsonl":
         with path.open() as fh:
             for line_no, raw in enumerate(fh, start=1):
-                raw = raw.strip()
-                if not raw:
+                if not raw.strip():
                     continue
                 try:
                     obj = json.loads(raw)
                 except json.JSONDecodeError as exc:
                     raise ParseError(f"invalid JSON in {path}: {exc.msg}", line=line_no) from exc
                 try:
-                    yield obj["source"], obj["item"], obj["value"]
+                    source, item, value = obj["source"], obj["item"], obj["value"]
                 except (TypeError, KeyError):
                     raise ParseError(f"claims object needs source/item/value keys in {path}",
                                      line=line_no) from None
+                if normalize_value(value) == "":
+                    raise ParseError(f"empty claims value in {path}", line=line_no)
+                yield source, item, value
     else:
         raise ParseError(f"unknown claims format {fmt!r}")
 
@@ -93,8 +98,7 @@ def load_claims(path, fmt: Optional[str] = None) -> Tuple[Dict[Any, ClaimSet], L
     counted in the report."""
     path = Path(path)
     fmt = _detect_format(path, fmt)
-    claims = [Claim(source_id=source, item_id=item, value=value)
-              for source, item, value in _iter_claim_rows(path, fmt)]
+    claims = list(_iter_claim_rows(path, fmt))
     if not claims:
         raise ParseError(f"no claims found in {path}")
     dataset = claims_by_item(claims)
@@ -110,8 +114,8 @@ def load_gold(path) -> GoldStandard:
     """Read a gold standard CSV (`item_id,value`, one row per true value)."""
     path = Path(path)
     truths: Dict[Any, set] = {}
-    for row in _csv_rows(path, "gold", ("item_id", "value")):
-        truths.setdefault(row["item_id"], set()).add(normalize_value(row["value"]))
+    for item, value in _csv_rows(path, "gold", ("item_id", "value")):
+        truths.setdefault(item, set()).add(normalize_value(value))
     if not truths:
         raise ParseError(f"no gold values found in {path}")
     return GoldStandard(truths=truths)
@@ -162,9 +166,8 @@ def write_run_summary(path, method: str, iterations: int,
 def write_claims_csv(claims: Iterable[Claim], path) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(CLAIM_COLUMNS))
-        for c in claims:
-            writer.writerow([c.source_id, c.item_id, c.value])
+        writer.writerow(CLAIM_COLUMNS)
+        writer.writerows(claims)
 
 
 def write_gold_csv(gold: GoldStandard, path) -> None:
@@ -193,9 +196,9 @@ def load_predictions(path) -> Dict[Any, set]:
     """Read predicted truths: either a plain `item_id,value` CSV or a
     fusion output CSV, in which case only rows marked selected count."""
     predicted: Dict[Any, set] = {}
-    for row in _csv_rows(Path(path), "predictions", ("item_id", "value"), ("selected",)):
-        selected = row.get("selected")
-        if selected is not None and selected.strip().lower() not in ("true", "1", "yes"):
+    for item, value, *selected in _csv_rows(Path(path), "predictions", ("item_id", "value"),
+                                            ("selected",)):
+        if selected and selected[0].strip().lower() not in ("true", "1", "yes"):
             continue
-        predicted.setdefault(row["item_id"], set()).add(normalize_value(row["value"]))
+        predicted.setdefault(item, set()).add(normalize_value(value))
     return predicted

@@ -10,7 +10,7 @@ import logging
 import math
 import unicodedata
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import UnknownSourceError
 
@@ -45,8 +45,7 @@ def normalize_value(value: Any) -> Any:
     return value
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """A single (source, item, value) assertion."""
 
     source_id: Any
@@ -95,11 +94,11 @@ class ClaimSet:
         return ClaimSet(item_id=self.item_id, per_source=psi, candidates=self.candidates)
 
 
-def claims_by_item(claims: Iterable[Claim]) -> Dict[Any, ClaimSet]:
-    """Group a flat claim list into per-item ClaimSets (duplicates collapse)."""
+def claims_by_item(claims: Iterable[Tuple[Any, Any, Any]]) -> Dict[Any, ClaimSet]:
+    """Group (source, item, value) triples into per-item ClaimSets (duplicates collapse)."""
     grouped: Dict[Any, Dict[Any, set]] = {}
-    for c in claims:
-        grouped.setdefault(c.item_id, {}).setdefault(c.source_id, set()).add(c.value)
+    for source, item, value in claims:
+        grouped.setdefault(item, {}).setdefault(source, set()).add(value)
     return {item: ClaimSet.from_claims(item, psi) for item, psi in grouped.items()}
 
 

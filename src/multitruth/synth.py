@@ -111,8 +111,7 @@ def generate(config: SynthConfig) -> Tuple[List[Claim], GoldStandard]:
             n_extra = _round_half_up(config.extra_ratio * len(covered))
             for _ in range(n_extra):
                 values.append(_draw_false(rng, used_false, config.false_domain_size))
-            for v in values:
-                claims.append(Claim(source_id=source, item_id=item, value=v))
+            claims.extend(Claim(source, item, v) for v in values)
     return claims, GoldStandard(truths=gold)
 
 

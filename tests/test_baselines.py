@@ -3,6 +3,7 @@ independent per-value odds, and count-then-pick."""
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -143,6 +144,27 @@ class TestTwoStep:
         assert len(r.selected_truths) == 3
         assert set(r.selected_truths) >= {"a", "b"}
 
+    def test_count_tie_does_not_depend_on_source_order(self):
+        # both counts are backed by accuracies 0.3, 0.3 and 0.9 in another
+        # source order; a product taken in source order missed the tie
+        accuracies = {"s0": 0.3, "s1": 0.9, "s2": 0.3, "s3": 0.3, "s4": 0.3, "s5": 0.9}
+        cs = ClaimSet.from_claims("d", {s: ["a"] if s < "s3" else ["a", "b"]
+                                        for s in accuracies})
+        q = {s: SourceQuality(accuracy=a, recall=0.7, false_positive_rate=0.1)
+             for s, a in accuracies.items()}
+        r = twostep_fuse(cs, q, self._prior())
+        assert r.selected_truths == ["a"]
+        assert r.diagnostics.notes == ["truth-count tie among [1, 2]; selected smallest k=1"]
+
+    def test_count_vote_of_many_sources(self):
+        # a linear count vote, 9 per source, overflowed and raised IndexError
+        q = SourceQuality(accuracy=0.9, recall=0.9, false_positive_rate=0.1, precision=0.9)
+        for psi, selected in (({f"s{j:03d}": ["a"] for j in range(400)}, ["a"]),
+                              ({f"s{j:03d}": [f"v{j:03d}"] for j in range(600)}, ["v000"])):
+            cs = ClaimSet.from_claims("d", psi)
+            r = twostep_fuse(cs, dict.fromkeys(psi, q), self._prior())
+            assert r.selected_truths == selected
+
 
 def _no_source_dataset(lone_source):
     """20 items that two agreeing sources and a scattering third one
@@ -241,6 +263,18 @@ def reference_accuracy_votes(claims, qualities, n):
     return votes
 
 
+def reference_truth_counts(claims, qualities):
+    """The counts whose exact product of n*A/(1-A) over the sources giving
+    that many values is highest (n the largest count)."""
+    n = max(len(vs) for vs in claims.per_source.values())
+    votes = {}
+    for s, values in claims.per_source.items():
+        a = min(max(qualities[s].accuracy, _CLAMP), 1.0 - _CLAMP)
+        votes[len(values)] = votes.get(len(values), 1) * Fraction(n * a / (1.0 - a))
+    top = max(votes.values())
+    return sorted(c for c, vote in votes.items() if vote == top)
+
+
 def reference_precrec(claims, qualities, prior):
     providers = _providers(claims)
     alpha = prior.alpha
@@ -305,3 +339,13 @@ def test_accu_and_twostep_match_reference(monkeypatch):
                 assert math.isclose(p, ref.probabilities[v], rel_tol=1e-12, abs_tol=1e-12)
             assert new.selected_truths == ref.selected_truths
             assert new.diagnostics.notes == ref.diagnostics.notes
+
+
+def test_twostep_truth_count_matches_reference():
+    for claims, qualities, prior in _differential_cases():
+        if not claims.per_source:
+            continue
+        tied = reference_truth_counts(claims, qualities)
+        r = twostep_fuse(claims, qualities, prior)
+        assert len(r.selected_truths) == min(tied[0], len(claims.candidates))
+        assert any("truth-count tie" in n for n in r.diagnostics.notes) == (len(tied) > 1)

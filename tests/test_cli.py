@@ -53,13 +53,16 @@ class TestSynth:
 
     def test_unknown_config_key(self, runner, tmp_path):
         cfg = tmp_path / "synth.json"
-        for key in ("bogus", "repetitions"):
-            cfg.write_text(json.dumps({key: 5}))
+        for config, message in (({"bogus": 5}, "bogus"), ({"repetitions": 5}, "repetitions"),
+                                (5, "expected a JSON object, got int"),
+                                (None, "expected a JSON object, got NoneType"),
+                                ("ab", "expected a JSON object, got str")):
+            cfg.write_text(json.dumps(config))
             result = runner.invoke(main, ["synth", "--config", str(cfg),
                                           "--out-claims", str(tmp_path / "c.csv"),
                                           "--out-gold", str(tmp_path / "g.csv")])
-            assert result.exit_code == 2, key
-            assert key in result.output
+            assert result.exit_code == 2, config
+            assert message in result.output
 
 
 class TestFuseEval:
@@ -223,12 +226,19 @@ class TestFuseEval:
         for config, message in (({"nope": 1}, "invalid config keys"),
                                 ({"exact_candidate_cap": 5}, "invalid config keys"),
                                 ({"prior_mode": "bogus"}, "invalid prior_mode 'bogus'"),
-                                ({"accuracy_mode": "bogus"}, "invalid accuracy_mode 'bogus'")):
+                                ({"accuracy_mode": "bogus"}, "invalid accuracy_mode 'bogus'"),
+                                (5, "invalid config: expected a JSON object, got int"),
+                                (None, "invalid config: expected a JSON object, got NoneType"),
+                                ("ab", "invalid config: expected a JSON object, got str"),
+                                ({"init_quality": 5}, "invalid config: "),
+                                ({"truth_count_dist": [1]}, "invalid config: "),
+                                ({"n": "x"}, "invalid config: "),
+                                ({"alpha": None}, "invalid config: ")):
             cfg.write_text(json.dumps(config))
             result = runner.invoke(main, ["fuse", "--method", "hybrid",
                                           "--claims", str(claims),
                                           "--config", str(cfg), "--out", "o"])
-            assert result.exit_code == 2
+            assert result.exit_code == 2, config
             assert message in result.output
 
     def test_malformed_integer_is_a_usage_error(self, runner, tmp_path):

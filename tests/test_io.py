@@ -1,5 +1,6 @@
 """File-format round trips and parse-error reporting."""
 
+import csv
 import json
 
 import pytest
@@ -51,8 +52,16 @@ class TestLoadClaims:
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "claims.csv"
-        path.write_text("source_id,item_id,value\ns1,d1,a\ns1,,b\n")
-        with pytest.raises(ParseError, match="line 3"):
+        for row in ("s1,,b", 's2,d1,"  "', "s2, ,b"):
+            path.write_text(f"source_id,item_id,value\ns1,d1,a\n{row}\n")
+            with pytest.raises(ParseError, match="malformed claims row.*line 3"):
+                mio.load_claims(path)
+
+    def test_whitespace_json_value_reports_line(self, tmp_path):
+        path = tmp_path / "claims.jsonl"
+        path.write_text('{"source": "s1", "item": "d1", "value": "a"}\n'
+                        '{"source": "s2", "item": "d1", "value": " \\t "}\n')
+        with pytest.raises(ParseError, match="empty claims value.*line 2"):
             mio.load_claims(path)
 
     def test_bad_json_reports_line(self, tmp_path):
@@ -97,6 +106,12 @@ class TestGold:
         path = tmp_path / "gold.csv"
         path.write_text("item_id\nd1\n")
         with pytest.raises(ParseError, match="value"):
+            mio.load_gold(path)
+
+    def test_whitespace_value_reports_line(self, tmp_path):
+        path = tmp_path / "gold.csv"
+        path.write_text('item_id,value\nd1,a\nd1,"  "\n')
+        with pytest.raises(ParseError, match="malformed gold row.*line 3"):
             mio.load_gold(path)
 
 
@@ -152,3 +167,61 @@ class TestRunSummary:
         assert payload["iterations"] == 3
         assert payload["source_qualities"]["s1"]["accuracy"] == 0.8
         assert payload["load_report"]["duplicates"] == 1
+
+
+def reference_csv_rows(path, kind, columns, optional=()):
+    """`_csv_rows` as it was written on `csv.DictReader`, yielding the same
+    tuples; it lets a field of only whitespace through."""
+    with path.open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ParseError(f"empty {kind} file {path}")
+        missing = set(columns) - set(reader.fieldnames)
+        if missing:
+            raise ParseError(f"{kind} file {path} lacks columns {sorted(missing)}", line=1)
+        required = [*columns, *(c for c in optional if c in reader.fieldnames)]
+        for row in reader:
+            if not all(map(row.get, required)):  # a missing or empty field
+                raise ParseError(f"malformed {kind} row in {path}", line=reader.line_num)
+            yield tuple(row[c] for c in required)
+
+
+READER_TEXTS = [
+    "",
+    "\n",
+    "\nsource_id,item_id,value,selected\ns1,d1,a,true\n",
+    " source_id,item_id,value\ns1,d1,a\n",
+    "source_id,item_id,value\n",
+    "source_id,item_id,value\ns1,d1,a\n\ns2,d1,b\n\n\n",
+    "source_id,item_id,value\ns1,d1,a\n\n\ns1,,b\n",
+    "source_id,item_id,value\r\ns1,d1,a\r\n\r\ns1,d2\r\n",
+    "source_id,item_id,value\ns1,d1\n",
+    "source_id,item_id,value\ns1,d1,a,extra,more\ns2,d1\n",
+    "source_id,item_id,value\ns1,d1,a\n   \n",
+    "value,source_id,item_id,value\na,s1,d1,b\nc,s2,d2,d\n",
+    "value,source_id,item_id,value\na,s1,d1,b\nc,s2,d2\n",
+    'source_id,item_id,value\ns1,d1,"a,b"\ns2,"d\n2",c\n"s\n3",d3,x\n',
+    'source_id,item_id,value\ns1,d1,"a\n\nb"\n\ns2,d2,\n',
+    'source_id,item_id,value\ns1,"d\n1",a\ns2,d2,""\n',
+    "item_id,value,probability,selected\nd1,a,0.9,true\nd1,b,0.1,false\n",
+    "item_id,value,probability,selected\nd1,a,0.9,true\nd1,b,0.1\n",
+    "item_id,value,selected,selected\nd1,a,x,true\nd1,b,false\n",
+    "item_id,value\nd1,a\n\nd2,b\n",
+]
+
+
+@pytest.mark.parametrize("text", READER_TEXTS, ids=range(len(READER_TEXTS)))
+def test_csv_reader_matches_dict_reader(tmp_path, text):
+    """Each text gives the same fields, or the same error and line, under
+    the claims, gold and predictions columns."""
+    path = tmp_path / "rows.csv"
+    path.write_bytes(text.encode())
+    for columns, optional in ((mio.CLAIM_COLUMNS, ()), (("item_id", "value"), ()),
+                              (("item_id", "value"), ("selected",))):
+        outcomes = []
+        for read in (mio._csv_rows, reference_csv_rows):
+            try:
+                outcomes.append(list(read(path, "test", columns, optional)))
+            except ParseError as exc:
+                outcomes.append((str(exc), exc.line))
+        assert outcomes[0] == outcomes[1], (columns, optional)
