@@ -3,7 +3,6 @@ claims, jointly decide how many values are true per item and which ones.
 """
 
 from .approx import (
-    approx_conditional,
     approx_fuse,
     approx_fuse_from_votes,
     bot_vote_count,
@@ -73,7 +72,6 @@ __all__ = [
     "UnknownSourceError",
     "VoteCountFixture",
     "accu_fuse",
-    "approx_conditional",
     "approx_fuse",
     "approx_fuse_from_votes",
     "beta_at",

@@ -15,12 +15,15 @@ in source order, so no source count overflows them.  `approx_fuse` runs
 one item through the step loop on weights shifted by the item's largest
 vote; `approx_fuse_dataset` runs every item of a `ClaimIndex` at once on
 arrays, with log-sum-exp denominators, and is what `iterate` uses.
+`vote_count`, `bot_vote_count` and `fixture_from_qualities` build the
+same votes as linear-domain products, an independent reference that
+`approx_fuse_from_votes` runs through the scalar step loop.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -83,18 +86,6 @@ def bot_vote_count(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
                     f"infinite stop vote: source {s!r} has recall 1; clamp recall below 1")
             total *= (1.0 - q.false_positive_rate) / (1.0 - q.recall)
     return total
-
-
-def approx_conditional(sorted_votes: Sequence[float], i: int, bot_vote: float,
-                       value_vote: float) -> float:
-    """Conditional probability of a value being the i-th truth, assuming
-    the i-1 strongest values were selected first; clamped at 1."""
-    if not 1 <= i <= len(sorted_votes):
-        raise ValueError("step index out of range")
-    denom = sum(sorted_votes[i - 1:]) + bot_vote
-    if denom <= 0:
-        raise FusionError("degenerate votes: zero denominator")
-    return min(value_vote / denom, 1.0)
 
 
 def _run_steps(votes: Mapping[Any, float], bot_at: Callable[[int], float],

@@ -85,6 +85,10 @@ def _iter_claim_rows(path: Path, fmt: str):
                 except (TypeError, KeyError):
                     raise ParseError(f"claims object needs source/item/value keys in {path}",
                                      line=line_no) from None
+                for name, field in (("source", source), ("item", item), ("value", value)):
+                    if field is None or isinstance(field, (list, dict)):
+                        raise ParseError(f"claims {name} must be a scalar, got "
+                                         f"{json.dumps(field)} in {path}", line=line_no)
                 if normalize_value(value) == "":
                     raise ParseError(f"empty claims value in {path}", line=line_no)
                 yield source, item, value

@@ -7,8 +7,9 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from statistics import NormalDist
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -41,6 +42,14 @@ class SynthConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        # a field with an int default takes an integer, one with a float
+        # default any real number; a bool is neither
+        for f in fields(self):
+            x = getattr(self, f.name)
+            kind, what = ((numbers.Integral, "an integer") if isinstance(f.default, int)
+                          else (numbers.Real, "a number"))
+            if isinstance(x, bool) or not isinstance(x, kind):
+                raise ValueError(f"{f.name} must be {what}, got {x!r}")
         for name in ("source_accuracy", "source_recall"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0,1]")

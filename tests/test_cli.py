@@ -56,7 +56,9 @@ class TestSynth:
         for config, message in (({"bogus": 5}, "bogus"), ({"repetitions": 5}, "repetitions"),
                                 (5, "expected a JSON object, got int"),
                                 (None, "expected a JSON object, got NoneType"),
-                                ("ab", "expected a JSON object, got str")):
+                                ("ab", "expected a JSON object, got str"),
+                                ({"num_items": None}, "invalid synth config: num_items"),
+                                ({"num_sources": 2.5}, "invalid synth config: num_sources")):
             cfg.write_text(json.dumps(config))
             result = runner.invoke(main, ["synth", "--config", str(cfg),
                                           "--out-claims", str(tmp_path / "c.csv"),
@@ -255,6 +257,19 @@ class TestFuseEval:
         result = runner.invoke(main, ["fuse", "--method", "hybrid",
                                       "--claims", "nope.csv", "--out", "o"])
         assert result.exit_code == 2
+
+    def test_non_scalar_json_claim_is_a_parse_error(self, tmp_path):
+        claims = tmp_path / "claims.jsonl"
+        claims.write_text('{"source": "s1", "item": "d1", "value": ["a"]}\n')
+        src = str(Path(multitruth.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-m", "multitruth.cli", "fuse", "--method",
+                                 "hybrid", "--claims", str(claims), "--out", str(tmp_path / "o")],
+                                env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: claims value must be a scalar")
+        assert "(line 1)" in result.stderr and "Traceback" not in result.stderr
 
     def test_eval_rejects_extra_predicted_items(self, runner, tmp_path):
         pred = tmp_path / "pred.csv"

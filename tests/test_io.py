@@ -64,6 +64,15 @@ class TestLoadClaims:
         with pytest.raises(ParseError, match="empty claims value.*line 2"):
             mio.load_claims(path)
 
+    @pytest.mark.parametrize("field", ["source", "item", "value"])
+    @pytest.mark.parametrize("bad", [None, ["a"], {"v": "a"}])
+    def test_non_scalar_json_field_reports_line(self, tmp_path, field, bad):
+        path = tmp_path / "claims.jsonl"
+        row = {"source": "s2", "item": "d1", "value": "b", field: bad}
+        path.write_text('{"source": "s1", "item": "d1", "value": "a"}\n' + json.dumps(row))
+        with pytest.raises(ParseError, match=f"claims {field} must be a scalar.*line 2"):
+            mio.load_claims(path)
+
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "claims.jsonl"
         path.write_text('{"source": "s1", "item": "d1", "value": "a"}\n{oops\n')

@@ -29,6 +29,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             SynthConfig(false_domain_size=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_items", None), ("num_sources", 2.5), ("false_domain_size", "10"),
+        ("truth_count_min", True), ("truth_count_max", 10.0), ("rng_seed", None),
+        ("truth_count_mean", None), ("truth_count_std", "1"), ("source_accuracy", [0.5]),
+        ("source_recall", False), ("extra_ratio", {}),
+    ])
+    def test_field_types(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            SynthConfig(**{field: value})
+
+    def test_integers_in_float_fields(self):
+        # the canned sweeps pass truth_count_mean 2, 4, ...
+        cfg = SynthConfig(num_items=3, truth_count_mean=2, source_accuracy=1, extra_ratio=0)
+        assert len(generate(cfg)[1].truths) == 3
+
 
 class TestRounding:
     def test_half_up(self):
