@@ -158,6 +158,11 @@ def _parse_grid(spec: str):
         if not all(v.is_integer() for v in parsed):
             raise click.UsageError(f"grid parameter {param!r} takes integers")
         parsed = [int(v) for v in parsed]
+    for v in parsed:
+        try:
+            dataclasses.replace(SynthConfig(), **{param: v})
+        except ValueError as exc:
+            raise click.UsageError(f"invalid grid {spec!r}: {exc}")
     return {param: parsed}
 
 

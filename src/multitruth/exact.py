@@ -10,15 +10,22 @@ summed probability of every selection order that reaches it.  One item
 costs O(2^m * m * S) for m candidates and S sources, so the candidate
 count is capped (`DEFAULT_CANDIDATE_CAP`); serves as the oracle for the
 quadratic approximation.
+
+`exact_fuse_dataset` enumerates every item of a `ClaimIndex` in one pass,
+which is what `iterate` uses: each source's log-likelihood cells depend
+only on its quality and on how many values it provides, so the pass
+fills them once per (source, provided count) and every item shares them.
+`exact_fuse` is that pass on a one-item index.
 """
 
 from __future__ import annotations
 
 import math
 from operator import getitem
-from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import DegenerateEvidenceError, InstanceTooLargeError
+from .index import ClaimIndex
 from .likelihood import (
     LOG_ZERO,
     category_counts,
@@ -143,7 +150,9 @@ class _SourceCells(dict):
     and whether the candidate is a value it provides, one it does not, or
     BOTTOM.  Maps (k, c) to those three log-likelihoods (None where no
     provided value is left to be the candidate), each computed on first
-    use: pruned enumeration reaches only a few (k, c) pairs."""
+    use: pruned enumeration reaches only a few (k, c) pairs.  Nothing in
+    a cell depends on the item, so `exact_fuse_dataset` keeps one table
+    per (source, provided count) for a whole pass."""
 
     def __init__(self, log_probs: Sequence[float], n_provided: int):
         super().__init__()
@@ -169,20 +178,72 @@ def exact_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
                prior: PriorConfig, max_candidates: int = DEFAULT_CANDIDATE_CAP,
                prune: float = PRUNE_THRESHOLD) -> FusionResult:
     """Exact per-value truth probabilities by full possible-world
-    enumeration; values with probability above 0.5 are selected."""
-    if len(claims.candidates) > max_candidates:
-        raise InstanceTooLargeError(
-            f"instance too large for exact enumeration ({len(claims.candidates)} candidates "
-            f"> cap {max_candidates}); use the approximation")
-    values = sorted(claims.candidates, key=str)
-    index = {v: i for i, v in enumerate(values)}
-    m = len(values)
-    priors = [_prior_logs(m, prior, k) for k in range(m + 1)]
-    sources = [(sum(1 << index[v] for v in provided),
-                _SourceCells(category_log_probs(
-                    category_probs(quality_of(qualities, source), prior.n)), len(provided)))
-               for source, provided in claims.per_source.items()]
+    enumeration; values with probability above 0.5 are selected.  This is
+    `exact_fuse_dataset` on a one-item index."""
+    index = ClaimIndex({claims.item_id: claims})
+    return exact_fuse_dataset(index, qualities, prior, max_candidates=max_candidates,
+                              prune=prune)[claims.item_id]
 
+
+def exact_fuse_dataset(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
+                       prior: PriorConfig, active: Optional[Iterable[Any]] = None,
+                       max_candidates: int = DEFAULT_CANDIDATE_CAP,
+                       prune: float = PRUNE_THRESHOLD) -> Dict[Any, FusionResult]:
+    """`exact_fuse` on every item of the index, with only the `active`
+    sources (all if None) contributing.
+
+    Every item's candidate count is checked against the cap before any
+    item is enumerated.  Each source's category log-probabilities are
+    taken once, its cells are shared by every item where it provides the
+    same number of values, and the priors are taken once per candidate
+    count.  An item's provided bitmasks come straight from the index
+    arrays, skipping the inactive sources."""
+    counts = index.cand_count.tolist()
+    for m in counts:
+        if m > max_candidates:
+            raise InstanceTooLargeError(
+                f"instance too large for exact enumeration ({m} candidates "
+                f"> cap {max_candidates}); use the approximation")
+    on = index.source_mask(active).tolist()
+    log_probs = [category_log_probs(category_probs(quality_of(qualities, s), prior.n))
+                 if is_on else None for s, is_on in zip(index.sources, on)]
+    tables: Dict[Tuple[int, int], _SourceCells] = {}
+    priors: Dict[int, List[Tuple[float, float]]] = {}
+
+    cand_start, pair_start = index.cand_start.tolist(), index.pair_start.tolist()
+    pair_source, pair_size = index.pair_source.tolist(), index.pair_size.tolist()
+    # each claim's candidate as a bit position within its item
+    claim_bit = (index.claim_cand
+                 - index.cand_start[index.pair_item[index.claim_pair]]).tolist()
+    results: Dict[Any, FusionResult] = {}
+    k = 0  # the first claim of the next pair
+    for d, m in enumerate(counts):
+        c0 = cand_start[d]
+        sources = []
+        for p in range(pair_start[d], pair_start[d + 1]):
+            j, size = pair_source[p], pair_size[p]
+            if on[j]:
+                provided_mask = 0
+                for bit in claim_bit[k:k + size]:
+                    provided_mask |= 1 << bit
+                table = tables.get((j, size))
+                if table is None:
+                    table = tables[j, size] = _SourceCells(log_probs[j], size)
+                sources.append((provided_mask, table))
+            k += size
+        if m not in priors:
+            priors[m] = [_prior_logs(m, prior, i) for i in range(m + 1)]
+        results[index.items[d]] = _fuse_item(index.item_ids[d], index.tokens[c0:c0 + m],
+                                             sources, priors[m], prune)
+    return results
+
+
+def _fuse_item(item_id: Any, values: List[Any], sources: List[Tuple[int, _SourceCells]],
+               priors: List[Tuple[float, float]], prune: float) -> FusionResult:
+    """The subset DP of one item: `values` in token order, each source as
+    the bitmask of the values it provides and its cell table, and
+    `_prior_logs` at every selected count."""
+    m = len(values)
     # where a candidate's log-likelihood sits in a source's cell: 0 if the
     # source provides it, 1 if not
     kinds = [[0 if provided_mask >> v & 1 else 1 for provided_mask, _ in sources]
@@ -196,12 +257,12 @@ def exact_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
         ll_bot = sum(cell[2] for cell in cells)
         log_v_prior, log_beta = priors[k]
         log_weights = [ll + log_v_prior for ll in lls] + [ll_bot + log_beta]
-        return _normalise(log_weights, claims.item_id)
+        return _normalise(log_weights, item_id)
 
     totals = _enumerate(m, cond_of, prune)
     probabilities = dict(zip(values, totals))
     return FusionResult(
-        item_id=claims.item_id,
+        item_id=item_id,
         probabilities=probabilities,
         selected_truths=_select(probabilities),
         diagnostics=FusionDiagnostics(method="hybrid-exact"),

@@ -1,8 +1,9 @@
 """Flat, array-backed index of a dataset's claims.
 
 `iterate` builds one per run and drives both halves of its loop from it:
-the dataset-level hybrid pass (`approx.approx_fuse_dataset`) and the
-quality update (`quality.source_metrics`).  Everything is laid out in a
+the dataset-level passes of the engines (`approx.approx_fuse_dataset`,
+`exact.exact_fuse_dataset`) and the quality update
+(`quality.source_metrics`).  Everything is laid out in a
 fixed order -- items, sources and each item's candidates sorted by their
 `str`, and each (item, source) pair's values in candidate order -- so
 every sum over these arrays runs in an order that does not depend on the

@@ -4,23 +4,25 @@ the command line, and the iteration settings each method runs with."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from .approx import approx_fuse, approx_fuse_dataset
 from .baselines import accu_fuse, majority_vote, precrec_fuse, twostep_fuse
-from .exact import exact_fuse
+from .exact import exact_fuse, exact_fuse_dataset
 from .quality import FusionBackend, IterationConfig
 
 
 @dataclass(frozen=True)
-class HybridBackend:
-    """The quadratic approximation: `approx_fuse` per item, and
-    `approx_fuse_dataset` when `iterate` fuses a whole dataset."""
+class DatasetBackend:
+    """An engine with a dataset pass: called on one item it runs
+    `fuse_item`, and `iterate` calls `fuse_dataset(index, qualities,
+    prior, active)` to fuse a whole dataset at once."""
+
+    fuse_item: Callable
+    fuse_dataset: Callable
 
     def __call__(self, claims, qualities, prior):
-        return approx_fuse(claims, qualities, prior)
-
-    def fuse_dataset(self, index, qualities, prior, active=None):
-        return approx_fuse_dataset(index, qualities, prior, active)
+        return self.fuse_item(claims, qualities, prior)
 
 
 def _accu(claims, qualities, prior):
@@ -32,9 +34,9 @@ def _majority(claims, qualities, prior):
 
 
 FUSION_BACKENDS: dict[str, FusionBackend] = {
-    "hybrid": HybridBackend(),
-    # item by item, on the qualities `iterate` clamps once per round
-    "hybrid-exact": exact_fuse,
+    "hybrid": DatasetBackend(approx_fuse, approx_fuse_dataset),
+    # on the qualities `iterate` clamps once per round, at the default cap
+    "hybrid-exact": DatasetBackend(exact_fuse, exact_fuse_dataset),
     "accu": _accu,
     "precrec": precrec_fuse,
     "twostep": twostep_fuse,

@@ -53,10 +53,17 @@ class SynthConfig:
         for name in ("source_accuracy", "source_recall"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0,1]")
-        if self.extra_ratio < 0:
-            raise ValueError("extra_ratio must be >= 0")
-        if self.false_domain_size < 1:
-            raise ValueError("false_domain_size must be >= 1")
+        for name in ("truth_count_mean", "truth_count_std", "extra_ratio"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        for name in ("truth_count_std", "extra_ratio"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        for name in ("num_sources", "num_items", "false_domain_size", "truth_count_min"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.truth_count_min > self.truth_count_max:
+            raise ValueError("truth_count_min must be <= truth_count_max")
 
 
 def _round_half_up(x: float) -> int:

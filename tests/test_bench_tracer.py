@@ -32,3 +32,28 @@ def test_tracer_times_parsing_and_grouping_of_a_load(Tracer, tmp_path):
     with Tracer().installed() as tracer:
         io.load_claims(path)
     assert (tracer.counts["io.load_claims"], tracer.counts["io.claims_by_item"]) == (1, 1)
+
+
+def test_traced_exact_iterate_equals_the_plain_run(Tracer):
+    # the tracer's engine wrapper is a plain function, so `iterate` fuses
+    # through it item by item (`ClaimSet.restrict`, one-item indexes)
+    # where the plain backend makes one dataset pass per round
+    cfg = synth.SynthConfig(num_items=40, truth_count_max=2, false_domain_size=4,
+                            extra_ratio=0.6, source_accuracy=0.9, source_recall=0.9,
+                            rng_seed=1)
+    claims = synth.generate(cfg)[0]
+    # a source that gives a value of its own on every item fails the
+    # good-source test, so later rounds fuse with it left out
+    claims += [("junk", item, "junk") for item in sorted({c.item_id for c in claims})]
+    dataset = model.claims_by_item(claims)
+    prior = model.PriorConfig(n=10, alpha=0.25,
+                              truth_count_dist=synth.truth_count_distribution(cfg))
+    backend = synth.fusion_backend("hybrid-exact")
+    tracer = Tracer()
+    traced = tracer.engine("hybrid-exact", backend)
+    assert not hasattr(traced, "fuse_dataset")
+    plain = quality.iterate(dataset, prior, backend)
+    assert repr(quality.iterate(dataset, prior, traced)) == repr(plain)
+    assert tracer.counts["engine"] == len(dataset) * (max(r.iteration for r in plain[2]) + 1)
+    # some round left a source out, so the per-item path restricted items
+    assert any(not r.good for r in plain[2])

@@ -4,6 +4,7 @@ and argument validation."""
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -58,7 +59,15 @@ class TestSynth:
                                 (None, "expected a JSON object, got NoneType"),
                                 ("ab", "expected a JSON object, got str"),
                                 ({"num_items": None}, "invalid synth config: num_items"),
-                                ({"num_sources": 2.5}, "invalid synth config: num_sources")):
+                                ({"num_sources": 2.5}, "invalid synth config: num_sources"),
+                                ({"truth_count_mean": math.nan},
+                                 "invalid synth config: truth_count_mean must be finite"),
+                                ({"truth_count_std": math.inf},
+                                 "invalid synth config: truth_count_std must be finite"),
+                                ({"num_sources": 0}, "invalid synth config: num_sources"),
+                                ({"num_items": -3}, "invalid synth config: num_items"),
+                                ({"truth_count_min": 5, "truth_count_max": 2},
+                                 "invalid synth config: truth_count_min must be <= ")):
             cfg.write_text(json.dumps(config))
             result = runner.invoke(main, ["synth", "--config", str(cfg),
                                           "--out-claims", str(tmp_path / "c.csv"),
@@ -178,7 +187,16 @@ class TestFuseEval:
         # the same path rewritten as a default synth file, whose items have
         # about 30 candidates, above the exact engine's cap
         assert _synth(runner, tmp_path)[0] == claims
-        assert isinstance(fuse({}).exception, InstanceTooLargeError)
+        result = fuse({})
+        assert isinstance(result.exception, InstanceTooLargeError)
+        # every item is checked before any is fused: the message names the
+        # first oversized item in index order
+        dataset, _ = mio.load_claims(claims)
+        first = next(len(dataset[item].candidates) for item in sorted(dataset, key=str)
+                     if len(dataset[item].candidates) > 12)
+        assert str(result.exception) == (
+            f"instance too large for exact enumeration ({first} candidates > cap 12); "
+            "use the approximation")
 
     def test_registry_backends_are_the_configured_defaults(self):
         for name, backend in FUSION_BACKENDS.items():
@@ -307,6 +325,15 @@ class TestCompareSweep:
             result = runner.invoke(main, ["compare", "--methods", "accu", "--grid", grid,
                                           "--out", str(tmp_path / "r.csv")])
             assert result.exit_code == 2, grid
+        # each value must make a valid SynthConfig on its own
+        for grid, message in (("num_items=5,0", "num_items must be >= 1"),
+                              ("truth_count_mean=4,nan", "truth_count_mean must be finite"),
+                              ("truth_count_max=0", "truth_count_min must be <= "),
+                              ("source_recall=0.5,1.5", "source_recall must be in [0,1]")):
+            result = runner.invoke(main, ["compare", "--methods", "accu", "--grid", grid,
+                                          "--out", str(tmp_path / "r.csv")])
+            assert result.exit_code == 2, grid
+            assert f"invalid grid {grid!r}: {message}" in result.output, grid
 
     def test_integer_grid(self, runner, tmp_path):
         out = tmp_path / "report.csv"

@@ -26,7 +26,8 @@ from multitruth import (
     exact_fuse_from_votes,
     iterate,
 )
-from multitruth.exact import PRUNE_THRESHOLD, conditional_distribution
+from multitruth.exact import PRUNE_THRESHOLD, conditional_distribution, exact_fuse_dataset
+from multitruth.index import ClaimIndex
 from multitruth.io import claims_by_item
 from multitruth.methods import fusion_backend
 from multitruth.synth import SynthConfig, generate
@@ -283,9 +284,117 @@ class TestSubsetDPMatchesWalk:
                            walk_exact_from_votes(fixture, prune))
 
 
+def random_dataset(rng, n_items, max_values=6):
+    """Items over one pool of sources that each provide one or two values
+    per item, so several sources share a provided count while their
+    qualities differ, and a random active subset of the sources (None
+    for all of them)."""
+    sources = [f"s{j}" for j in range(int(rng.integers(3, 8)))]
+    dataset = {}
+    for d in range(n_items):
+        values = [f"v{j}" for j in range(int(rng.integers(1, max_values + 1)))]
+        providers = rng.choice(sources, size=int(rng.integers(1, len(sources) + 1)),
+                               replace=False)
+        psi = {str(s): rng.choice(values, size=min(int(rng.integers(1, 3)), len(values)),
+                                  replace=False) for s in providers}
+        # every value keeps a provider
+        unprovided = np.setdiff1d(values, np.concatenate(list(psi.values())))
+        psi[str(providers[0])] = np.union1d(psi[str(providers[0])], unprovided)
+        dataset[f"d{d:03d}"] = ClaimSet.from_claims(f"d{d:03d}", psi)
+    qualities = {s: SourceQuality(accuracy=float(rng.uniform(0.3, 0.95)),
+                                  recall=float(rng.uniform(0.3, 0.95)),
+                                  false_positive_rate=float(rng.uniform(0.05, 0.7)))
+                 for s in sources}
+    active = (None if rng.random() < 0.25
+              else set(rng.choice(sources, size=int(rng.integers(1, len(sources))),
+                                  replace=False).tolist()))
+    return dataset, qualities, active
+
+
+class TestDatasetPass:
+    """`exact_fuse_dataset` against the order walk on each item as
+    `iterate`'s per-item path restricts it."""
+
+    PRIOR = PriorConfig(n=10, alpha=0.25, truth_count_dist={1: 0.3, 2: 0.4, 3: 0.2, 4: 0.1})
+
+    # unpruned, both sum the same worlds; with pruning the walk drops
+    # single orders where the DP drops whole subsets, a few 1e-12 apart
+    @pytest.mark.parametrize("prune, tolerance", [(0.0, 1e-12), (PRUNE_THRESHOLD, 1e-9)])
+    def test_matches_walk_on_restricted_items(self, prune, tolerance):
+        rng = np.random.default_rng(4051)
+        checked = no_source = shared = 0
+        for i in range(40):
+            dataset, qualities, active = random_dataset(rng, n_items=12)
+            prior = replace(self.PRIOR, prior_mode=("literal", "example-compatible")[i % 2])
+            fused = exact_fuse_dataset(ClaimIndex(dataset), qualities, prior, active,
+                                       prune=prune)
+            assert list(fused) == sorted(dataset)
+            for item, claims in dataset.items():
+                restricted = claims if active is None else claims.restrict(active)
+                reference = walk_exact_fuse(restricted, qualities, prior, prune)
+                result = fused[item]
+                assert result.item_id == item
+                assert set(result.probabilities) == set(reference)
+                for v, p in reference.items():
+                    assert abs(result.probabilities[v] - p) <= tolerance
+                assert set(result.selected_truths) == {v for v, p in reference.items()
+                                                       if p > 0.5}
+                sizes = [len(vs) for vs in restricted.per_source.values()]
+                shared += len(sizes) > len(set(sizes))
+                no_source += not restricted.per_source
+                checked += 1
+        assert checked == 480
+        assert no_source >= 10 and shared >= 100
+
+    def test_twelve_candidate_item(self):
+        rng = np.random.default_rng(12)
+        values = [f"v{j:02d}" for j in range(12)]
+        psi = {f"s{i}": set(rng.choice(values, size=3, replace=False)) for i in range(8)}
+        psi["all"] = set(values)
+        wide = ClaimSet.from_claims("wide", psi)
+        narrow = ClaimSet.from_claims("narrow", {"s0": ["v00"], "s1": ["v00", "v01"]})
+        qualities = {s: SourceQuality(accuracy=0.6 + 0.03 * i, recall=0.8,
+                                      false_positive_rate=0.2)
+                     for i, s in enumerate(sorted(psi))}
+        fused = exact_fuse_dataset(ClaimIndex({"wide": wide, "narrow": narrow}), qualities,
+                                   self.PRIOR)
+        _assert_agrees(fused["wide"], walk_exact_fuse(wide, qualities, self.PRIOR,
+                                                      PRUNE_THRESHOLD))
+        assert repr(fused["wide"]) == repr(exact_fuse(wide, qualities, self.PRIOR))
+        assert repr(fused["narrow"]) == repr(exact_fuse(narrow, qualities, self.PRIOR))
+
+    def test_cap_checked_before_any_item_is_fused(self):
+        # the first item in index order has no hypothesis of non-zero
+        # likelihood, so enumerating it would raise DegenerateEvidenceError
+        q = SourceQuality(accuracy=0.9, recall=1.0, false_positive_rate=0.0)
+        dataset = {
+            "a": ClaimSet.from_claims("a", {"s1": ["x", "y"], "s2": ["z"]}),
+            "b": ClaimSet.from_claims("b", {"s1": list("pqrst"), "s2": ["u"]}),
+        }
+        prior = PriorConfig(truth_count_dist={1: 1.0})
+        index = ClaimIndex(dataset)
+        with pytest.raises(DegenerateEvidenceError):
+            exact_fuse_dataset(index, {"s1": q, "s2": q}, prior)
+        with pytest.raises(InstanceTooLargeError, match=r"^instance too large for exact "
+                           r"enumeration \(6 candidates > cap 5\); use the approximation$"):
+            exact_fuse_dataset(index, {"s1": q, "s2": q}, prior, max_candidates=5)
+
+    def test_inactive_source_needs_no_quality(self, hockey_claims, hockey_qualities,
+                                              hockey_prior):
+        active = {"s1", "s2"}
+        qualities = {s: hockey_qualities[s] for s in active}
+        fused = exact_fuse_dataset(ClaimIndex({"d": hockey_claims}), qualities, hockey_prior,
+                                   active)
+        assert repr(fused["d"]) == repr(exact_fuse(hockey_claims.restrict(active), qualities,
+                                                   hockey_prior))
+        with pytest.raises(UnknownSourceError):
+            exact_fuse_dataset(ClaimIndex({"d": hockey_claims}), qualities, hockey_prior)
+
+
 HASH_SEED_SCRIPT = """
-from multitruth import PriorConfig, SourceQuality, exact_fuse
+from multitruth import PriorConfig, SourceQuality, exact_fuse, iterate
 from multitruth.io import claims_by_item
+from multitruth.methods import fusion_backend
 from multitruth.synth import SynthConfig, generate, truth_count_distribution
 
 cfg = SynthConfig(num_items=150, truth_count_max=2, false_domain_size=4, extra_ratio=0.6,
@@ -302,6 +411,11 @@ for item in sorted(dataset, key=str):
     print(repr(r.probabilities), repr(r.selected_truths))
     outside += sum(not 0.0 <= p <= 1.0 for p in r.probabilities.values())
 print("outside [0,1]:", outside)
+
+results, fused_qualities, _ = iterate(dataset, prior, fusion_backend("hybrid-exact"))
+for item in sorted(results, key=str):
+    print(repr(results[item].probabilities), repr(results[item].selected_truths))
+print(repr(fused_qualities))
 """
 
 
@@ -319,5 +433,5 @@ def test_output_independent_of_hash_seed():
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
     lines = outputs[0].splitlines()
-    assert len(lines) == 151
-    assert lines[-1] == "outside [0,1]: 0"
+    assert len(lines) == 302
+    assert lines[150] == "outside [0,1]: 0"

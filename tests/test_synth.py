@@ -39,6 +39,28 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{field} must be"):
             SynthConfig(**{field: value})
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"truth_count_mean": math.nan}, "truth_count_mean must be finite"),
+        ({"truth_count_mean": math.inf}, "truth_count_mean must be finite"),
+        ({"truth_count_std": -math.inf}, "truth_count_std must be finite"),
+        ({"extra_ratio": math.nan}, "extra_ratio must be finite"),
+        ({"truth_count_std": -1.0}, "truth_count_std must be >= 0"),
+        ({"num_sources": 0}, "num_sources must be >= 1"),
+        ({"num_items": -3}, "num_items must be >= 1"),
+        ({"truth_count_min": 0}, "truth_count_min must be >= 1"),
+        ({"truth_count_min": 5, "truth_count_max": 2},
+         "truth_count_min must be <= truth_count_max"),
+    ])
+    def test_ranges(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            SynthConfig(**fields)
+
+    def test_smallest_valid_ranges(self):
+        cfg = SynthConfig(num_sources=1, num_items=1, truth_count_min=2, truth_count_max=2)
+        claims, gold = generate(cfg)
+        assert [len(vs) for vs in gold.truths.values()] == [2]
+        assert {c.source_id for c in claims} <= {"s00"}
+
     def test_integers_in_float_fields(self):
         # the canned sweeps pass truth_count_mean 2, 4, ...
         cfg = SynthConfig(num_items=3, truth_count_mean=2, source_accuracy=1, extra_ratio=0)
