@@ -11,18 +11,23 @@ costs O(2^m * m * S) for m candidates and S sources, so the candidate
 count is capped (`DEFAULT_CANDIDATE_CAP`); serves as the oracle for the
 quadratic approximation.
 
-`exact_fuse_dataset` enumerates every item of a `ClaimIndex` in one pass,
-which is what `iterate` uses: each source's log-likelihood cells depend
-only on its quality and on how many values it provides, so the pass
-fills them once per (source, provided count) and every item shares them.
-`exact_fuse` is that pass on a one-item index.
+Subsets of one size do not depend on each other, so `_enumerate` runs
+the DP in layers: layer k holds every live (item, subset of k values)
+state of many items as flat arrays, and expands them all with a few
+array operations.  `exact_fuse_dataset` runs it over every item of a
+`ClaimIndex`, which is what `iterate` uses: each source's log-likelihood
+cells depend only on its quality and on how many values it provides, so
+the pass fills them once per (source, provided count) and every item
+shares them.  `exact_fuse` is that pass on a one-item index, and
+`exact_fuse_from_votes` runs the same layers on injected vote counts.
 """
 
 from __future__ import annotations
 
 import math
-from operator import getitem
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import DegenerateEvidenceError, InstanceTooLargeError
 from .index import ClaimIndex
@@ -54,14 +59,39 @@ DEFAULT_CANDIDATE_CAP = 12
 # at the supported tolerances; skipping them bounds work.
 PRUNE_THRESHOLD = 1e-12
 
+# (row, column) cells of one block of items in the layered DP, the size
+# of its largest arrays.  Each item counts its widest layer unpruned, so
+# a block's memory stays bounded however little pruning removes; an item
+# wider than this gets a block of its own.
+BLOCK_CELLS = 1 << 15
+
+_LOWEST = float(np.finfo(float).min)
+
+# the number of set bits of every 12-bit number
+_BIT_COUNTS = sum(np.arange(1 << 12) >> bit & 1 for bit in range(12))
+
+
+def _bit_count(x: np.ndarray, bits: int) -> np.ndarray:
+    """Set bits of each element of `x`, an int64 array below 2**bits."""
+    if bits <= 12:
+        return _BIT_COUNTS[x]
+    count = _BIT_COUNTS[x & 0xFFF]
+    for shift in range(12, bits, 12):
+        count += _BIT_COUNTS[x >> shift & 0xFFF]
+    return count
+
+
+def _degenerate(item_id: Any) -> DegenerateEvidenceError:
+    return DegenerateEvidenceError(
+        f"degenerate evidence on item {item_id!r}: all likelihoods are zero")
+
 
 def _normalise(log_weights: Sequence[float], item_id: Any) -> List[float]:
     """Bayes normalisation of log-domain weights, shifted by their maximum
     so that no exponential underflows to an all-zero distribution."""
     top = max(log_weights)
     if top == LOG_ZERO:
-        raise DegenerateEvidenceError(
-            f"degenerate evidence on item {item_id!r}: all likelihoods are zero")
+        raise _degenerate(item_id)
     total = sum(math.exp(lw - top) for lw in log_weights)
     return [math.exp(lw - top) / total for lw in log_weights]
 
@@ -113,35 +143,82 @@ def conditional_prob(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
     return dist[candidate]
 
 
-def _enumerate(m: int, cond_of: Callable[[int, List[int]], Sequence[float]],
-               prune: float) -> List[float]:
-    """Sum over all selection sequences of m candidates as a DP over
-    subsets.  `cond_of(mask, remaining)` gives the conditional probability
-    of each candidate in `remaining` (the indices not in `mask`, ascending)
-    being the next truth; the rest of its mass is BOTTOM, which ends the
-    world and contributes nothing.  Masks are visited in increasing order,
-    so every subset comes after all of its predecessors.  A non-empty
-    subset whose mass is not above `prune` is not expanded; the mass sums
-    every order reaching it, so this prunes no more than a walk over the
-    orders themselves.  The empty selection is evaluated even without
-    candidates, so evidence that rules out stopping at once still raises."""
-    full = (1 << m) - 1
-    totals = [0.0] * m
-    mass = [0.0] * (1 << m)
-    mass[0] = 1.0
-    for mask in range(max(full, 1)):
-        world_p = mass[mask]
-        if mask and world_p <= prune:
-            continue
-        remaining = [v for v in range(m) if not mask >> v & 1]
-        expand = len(remaining) > 1
-        for v, p in zip(remaining, cond_of(mask, remaining)):
-            branch = world_p * p
-            totals[v] += branch
-            if expand:
-                mass[mask | 1 << v] += branch
+# cond(k, item, mask, row_state, row_item, row_bit) -> row weights; see
+# `_enumerate`
+Conditional = Callable[..., np.ndarray]
+
+
+def _enumerate(cand_count: np.ndarray, cond: Conditional,
+               prune: float) -> Tuple[np.ndarray, Optional[int]]:
+    """Sum over all selection sequences of every item's candidates as a
+    DP over subsets, one layer of subsets of one size at a time.
+
+    Item d has m = `cand_count[d]` candidates, bits 0 to m - 1 of a mask;
+    bit m stands for BOTTOM.  A state is one (item, subset) with its mass;
+    layer k holds the states of k selected values as the arrays `item`,
+    `mask` and `mass`, sorted by item, then by mask.  A row is one
+    (state, outcome): `row_state`, `row_item` and `row_bit`, state by
+    state, the unselected candidates ascending and then BOTTOM.
+    `cond(k, item, mask, row_state, row_item, row_bit)` gives each row's
+    weight; a state's conditional probability of each outcome being the
+    next truth is its weight over their sum, and a state whose weights sum
+    to 0 has degenerate evidence.  BOTTOM ends the world and contributes
+    nothing.  A non-empty state whose mass is not above `prune` is not
+    expanded; the mass sums every order reaching it, so this prunes no
+    more than a walk over the orders themselves.  The empty selection is
+    evaluated even without candidates, so evidence that rules out
+    stopping at once is still found.
+
+    Every sum runs state by state, in row order, so an item's arithmetic
+    does not depend on the other items of the call.  Returns the totals
+    of every item's candidates, item after item, clamped to [0,1], and
+    the first item with a degenerate state (None if none)."""
+    m = cand_count
+    n = len(m)
+    slots = np.arange(int(m.max(initial=0)) + 1)
+    outcome = slots <= m[:, None]
+    # a total per outcome of each item, BOTTOM's last, and a slot per
+    # (item, mask) for the children of a layer
+    total_at = np.cumsum(m + 1) - (m + 1)
+    totals = np.zeros(int(np.sum(m + 1)))
+    child_at = np.cumsum(1 << m) - (1 << m)
+    child_item = np.repeat(np.arange(n), 1 << m)
+    failed = np.zeros(n, dtype=bool)
+    item = np.arange(n)
+    mask = np.zeros(n, dtype=np.int64)
+    mass = np.ones(n)
+    k = 0
+    while item.size:
+        # the outcomes of each state: its unselected candidates and BOTTOM
+        row_state, row_bit = np.nonzero((~mask[:, None] >> slots) & outcome[item])
+        row_item = item[row_state]
+        weight = cond(k, item, mask, row_state, row_item, row_bit)
+        total = np.bincount(row_state, weights=weight, minlength=len(item))
+        live = total > 0
+        if not live.all():
+            failed[item[~live]] = True
+            ok = ~failed[row_item]
+            row_state, row_item, row_bit, weight = (
+                row_state[ok], row_item[ok], row_bit[ok], weight[ok])
+        branch = mass[row_state] * (weight / total[row_state])
+        np.add.at(totals, total_at[row_item] + row_bit, branch)
+        # a child's mass sums its parents in ascending order
+        m_row = m[row_item]
+        grow = (row_bit < m_row) & (m_row > k + 1)
+        child = (child_at[row_item] + (mask[row_state] | 1 << row_bit))[grow]
+        reached = np.zeros(len(child_item), dtype=bool)
+        reached[child] = True
+        keys = np.flatnonzero(reached)
+        mass = np.bincount(child, weights=branch[grow], minlength=len(reached))[keys]
+        keep = mass > prune
+        keys, mass = keys[keep], mass[keep]
+        item = child_item[keys]
+        mask = keys - child_at[item]
+        k += 1
     # rounding can carry a sum of probabilities one unit past 1
-    return [min(max(t, 0.0), 1.0) for t in totals]
+    totals = np.clip(np.delete(totals, total_at + m), 0.0, 1.0)
+    first = np.flatnonzero(failed)
+    return totals, (int(first[0]) if first.size else None)
 
 
 class _SourceCells(dict):
@@ -170,6 +247,33 @@ class _SourceCells(dict):
         return cell
 
 
+class _PriorCells(dict):
+    """The log priors of an item with m candidates as cells of a source
+    that provides nothing: (k, 0) maps to the `_prior_logs` of an
+    unselected value, twice, and of BOTTOM."""
+
+    def __init__(self, prior: PriorConfig, m: int):
+        super().__init__()
+        self.prior = prior
+        self.m = m
+
+    def __missing__(self, key):
+        log_v_prior, log_beta = _prior_logs(self.m, self.prior, key[0])
+        cell = self[key] = (log_v_prior, log_v_prior, log_beta)
+        return cell
+
+
+class _NoCells(dict):
+    """The cells of a padding column: every log-likelihood is 0, which
+    adds nothing to a row's sum."""
+
+    def __missing__(self, key):
+        return (0.0, 0.0, 0.0)
+
+
+_NO_SOURCE = _NoCells()
+
+
 def _select(probabilities: Dict[Any, float]):
     return sort_values({v: p for v, p in probabilities.items() if p > 0.5})
 
@@ -195,78 +299,139 @@ def exact_fuse_dataset(index: ClaimIndex, qualities: Mapping[Any, SourceQuality]
     Every item's candidate count is checked against the cap before any
     item is enumerated.  Each source's category log-probabilities are
     taken once, its cells are shared by every item where it provides the
-    same number of values, and the priors are taken once per candidate
-    count.  An item's provided bitmasks come straight from the index
-    arrays, skipping the inactive sources."""
-    counts = index.cand_count.tolist()
-    for m in counts:
+    same number of values, and the priors are cells shared by every item
+    with the same candidate count.  The provided bitmasks of the active
+    (item, source) pairs come straight from the index arrays.  Items run
+    through `_enumerate` in blocks of at most BLOCK_CELLS cells, and a
+    `DegenerateEvidenceError` names the first such item in index order."""
+    counts = index.cand_count
+    for m in counts.tolist():
         if m > max_candidates:
             raise InstanceTooLargeError(
                 f"instance too large for exact enumeration ({m} candidates "
                 f"> cap {max_candidates}); use the approximation")
-    on = index.source_mask(active).tolist()
+    if not len(index):
+        return {}
+    on = index.source_mask(active)
     log_probs = [category_log_probs(category_probs(quality_of(qualities, s), prior.n))
                  if is_on else None for s, is_on in zip(index.sources, on)]
-    tables: Dict[Tuple[int, int], _SourceCells] = {}
-    priors: Dict[int, List[Tuple[float, float]]] = {}
 
-    cand_start, pair_start = index.cand_start.tolist(), index.pair_start.tolist()
-    pair_source, pair_size = index.pair_source.tolist(), index.pair_size.tolist()
-    # each claim's candidate as a bit position within its item
-    claim_bit = (index.claim_cand
-                 - index.cand_start[index.pair_item[index.claim_pair]]).tolist()
+    # the active pairs, item by item and in source order within an item,
+    # each with the values it provides as a bitmask over its item's
+    # candidates, its column among them, and its cell table
+    claim_bit = index.claim_cand - index.cand_start[index.pair_item[index.claim_pair]]
+    provided = np.add.reduceat(np.left_shift(1, claim_bit, dtype=np.int64),
+                               np.cumsum(index.pair_size) - index.pair_size)
+    pairs = np.flatnonzero(on[index.pair_source])
+    pair_item, provided = index.pair_item[pairs], provided[pairs]
+    n_pairs = np.bincount(pair_item, minlength=len(index))
+    pair_at = np.concatenate(([0], np.cumsum(n_pairs)))
+    column = np.arange(len(pairs)) - pair_at[pair_item]
+    # tables: the padding, one per (source, provided count) present, then
+    # the priors by candidate count
+    sizes = int(counts.max()) + 1
+    table_key = index.pair_source[pairs] * sizes + index.pair_size[pairs]
+    present = np.zeros(len(index.sources) * sizes, dtype=bool)
+    present[table_key] = True
+    table_of = np.cumsum(present)[table_key]
+    tables: List[dict] = [_NO_SOURCE]
+    tables += [_SourceCells(log_probs[key // sizes], key % sizes)
+               for key in np.flatnonzero(present).tolist()]
+    prior_table = counts + len(tables)
+    tables += [_PriorCells(prior, m) for m in range(sizes)]
+
+    totals = np.empty(index.cand_start[-1])
+    cand_start = index.cand_start.tolist()
+    for lo, hi in _blocks(counts, n_pairs):
+        a, b = pair_at[lo], pair_at[hi]
+        cond = _likelihood_conditional(counts[lo:hi], pair_item[a:b] - lo, column[a:b],
+                                       provided[a:b], table_of[a:b], prior_table[lo:hi], tables)
+        block, bad = _enumerate(counts[lo:hi], cond, prune)
+        if bad is not None:
+            raise _degenerate(index.item_ids[lo + bad])
+        totals[cand_start[lo]:cand_start[hi]] = block
+
+    probs, tokens = totals.tolist(), index.tokens
     results: Dict[Any, FusionResult] = {}
-    k = 0  # the first claim of the next pair
-    for d, m in enumerate(counts):
-        c0 = cand_start[d]
-        sources = []
-        for p in range(pair_start[d], pair_start[d + 1]):
-            j, size = pair_source[p], pair_size[p]
-            if on[j]:
-                provided_mask = 0
-                for bit in claim_bit[k:k + size]:
-                    provided_mask |= 1 << bit
-                table = tables.get((j, size))
-                if table is None:
-                    table = tables[j, size] = _SourceCells(log_probs[j], size)
-                sources.append((provided_mask, table))
-            k += size
-        if m not in priors:
-            priors[m] = [_prior_logs(m, prior, i) for i in range(m + 1)]
-        results[index.items[d]] = _fuse_item(index.item_ids[d], index.tokens[c0:c0 + m],
-                                             sources, priors[m], prune)
+    for d, (c0, c1) in enumerate(zip(cand_start, cand_start[1:])):
+        probabilities = dict(zip(tokens[c0:c1], probs[c0:c1]))
+        results[index.items[d]] = FusionResult(
+            item_id=index.item_ids[d],
+            probabilities=probabilities,
+            selected_truths=_select(probabilities),
+            diagnostics=FusionDiagnostics(method="hybrid-exact"),
+        )
     return results
 
 
-def _fuse_item(item_id: Any, values: List[Any], sources: List[Tuple[int, _SourceCells]],
-               priors: List[Tuple[float, float]], prune: float) -> FusionResult:
-    """The subset DP of one item: `values` in token order, each source as
-    the bitmask of the values it provides and its cell table, and
-    `_prior_logs` at every selected count."""
-    m = len(values)
-    # where a candidate's log-likelihood sits in a source's cell: 0 if the
-    # source provides it, 1 if not
-    kinds = [[0 if provided_mask >> v & 1 else 1 for provided_mask, _ in sources]
-             for v in range(m)]
+def _blocks(cand_count: np.ndarray, n_pairs: np.ndarray):
+    """Consecutive item ranges whose widest layers, unpruned and padded to
+    the block's most sources plus the prior, stay within BLOCK_CELLS
+    (row, column) cells; an item wider than that gets a block of its own."""
+    widest = {m: max(math.comb(m, k) * (m - k + 1) for k in range(m + 1))
+              for m in set(cand_count.tolist())}
+    lo, rows, width = 0, 0, 0
+    for d, (m, w) in enumerate(zip(cand_count.tolist(), n_pairs.tolist())):
+        if d > lo and (rows + widest[m]) * (max(width, w) + 1) > BLOCK_CELLS:
+            yield lo, d
+            lo, rows, width = d, 0, 0
+        rows += widest[m]
+        width = max(width, w)
+    yield lo, len(cand_count)
 
-    def cond_of(mask: int, remaining: List[int]) -> List[float]:
-        k = m - len(remaining)
-        cells = [table[k, (mask & provided_mask).bit_count()]
-                 for provided_mask, table in sources]
-        lls = [sum(map(getitem, cells, kinds[v])) for v in remaining]
-        ll_bot = sum(cell[2] for cell in cells)
-        log_v_prior, log_beta = priors[k]
-        log_weights = [ll + log_v_prior for ll in lls] + [ll_bot + log_beta]
-        return _normalise(log_weights, item_id)
 
-    totals = _enumerate(m, cond_of, prune)
-    probabilities = dict(zip(values, totals))
-    return FusionResult(
-        item_id=item_id,
-        probabilities=probabilities,
-        selected_truths=_select(probabilities),
-        diagnostics=FusionDiagnostics(method="hybrid-exact"),
-    )
+def _likelihood_conditional(cand_count: np.ndarray, pair_item: np.ndarray,
+                            column: np.ndarray, provided: np.ndarray, table_of: np.ndarray,
+                            prior_table: np.ndarray, tables: List[dict]) -> Conditional:
+    """The row weights of a block of items for `_enumerate`: each row's
+    log-likelihood plus log prior, exponentiated after a shift by its
+    state's largest, so that no state underflows to all zeros.
+
+    Each item's active pairs become columns in source order, padded with
+    columns that read `_NO_SOURCE`, and its prior is the last column.  A
+    row's log weight is one cell per column, added column after column,
+    which is the order `_normalise` sums in; padding adds exact zeros.
+    Arrays run column-major, so that each column is contiguous."""
+    n, bits = len(cand_count), int(cand_count.max())
+    width = int(column.max(initial=-1)) + 2
+    prov = np.zeros((width, n), dtype=np.int64)
+    prov[column, pair_item] = provided
+    tab = np.zeros((width, n), dtype=np.intp)
+    tab[column, pair_item] = table_of
+    tab[-1] = prior_table
+    # which of a cell's log-likelihoods a row reads: 0 if the source
+    # provides the candidate, 1 if not, 2 for BOTTOM
+    kind = 1 - ((prov[:, :, None] >> np.arange(bits + 1)) & 1)
+    kind[:, np.arange(n), cand_count] = 2
+    # a cell is keyed by (table, c); `log_lik` holds each kind of
+    # log-likelihood of every key in turn
+    stride = bits + 1
+    n_keys = len(tables) * stride
+    log_lik = np.zeros(3 * n_keys)
+    cell_of_key = log_lik.reshape(3, n_keys).T
+    tab *= stride
+    kind *= n_keys
+
+    def cond(k, item, mask, row_state, row_item, row_bit):
+        key = tab[:, item] + _bit_count(mask & prov[:, item], bits)
+        used = np.zeros(n_keys, dtype=bool)
+        used[key] = True
+        used = np.flatnonzero(used)
+        cell_of_key[used] = [tables[t][k, c] for t, c in zip((used // stride).tolist(),
+                                                            (used % stride).tolist())]
+        at = key[:, row_state]
+        at += kind[:, row_item, row_bit]
+        cells = log_lik[at]
+        log_w = cells[0].copy()
+        for column_cells in cells[1:]:
+            log_w += column_cells
+        # from the lowest finite float, so a state whose log weights are
+        # all -inf gets weights 0, not NaN
+        top = np.full(len(item), _LOWEST)
+        np.maximum.at(top, row_state, log_w)
+        return np.exp(log_w - top[row_state])
+
+    return cond
 
 
 def exact_fuse_from_votes(fixture: VoteCountFixture, item_id: Any = None,
@@ -274,16 +439,17 @@ def exact_fuse_from_votes(fixture: VoteCountFixture, item_id: Any = None,
     """Exact enumeration with conditionals taken from injected vote
     counts: p(v | selected) = L(v) / (sum of unselected L + stop vote)."""
     values = sorted(fixture.votes, key=str)
-    votes = [fixture.votes[v] for v in values]
+    # each candidate's vote, then BOTTOM's: the stop vote of the step
+    weights = np.array([fixture.votes[v] for v in values] + [0.0])
 
-    def cond_of(mask: int, remaining: List[int]) -> List[float]:
-        bot = fixture.bot_at(len(values) - len(remaining) + 1)
-        denom = sum(votes[v] for v in remaining) + bot
-        if denom <= 0:
-            raise DegenerateEvidenceError("degenerate votes: zero denominator")
-        return [votes[v] / denom for v in remaining]
+    def cond(k, item, mask, row_state, row_item, row_bit):
+        weights[-1] = fixture.bot_at(k + 1)
+        return weights[row_bit]
 
-    probabilities = dict(zip(values, _enumerate(len(values), cond_of, prune)))
+    totals, bad = _enumerate(np.array([len(values)]), cond, prune)
+    if bad is not None:
+        raise DegenerateEvidenceError("degenerate votes: zero denominator")
+    probabilities = dict(zip(values, totals.tolist()))
     return FusionResult(
         item_id=item_id,
         probabilities=probabilities,

@@ -72,9 +72,14 @@ def _round_half_up(x: float) -> int:
 
 def truth_count_distribution(config: SynthConfig) -> Dict[int, float]:
     """Discrete distribution induced by rounding and clipping the
-    Gaussian truth count; feeds the fusion prior."""
-    nd = NormalDist(config.truth_count_mean, config.truth_count_std)
+    Gaussian truth count; feeds the fusion prior.  At standard deviation
+    0 it is a point mass at the clipped, rounded mean, the count
+    `generate` then draws for every item."""
     lo, hi = config.truth_count_min, config.truth_count_max
+    if config.truth_count_std == 0:
+        count = min(max(_round_half_up(config.truth_count_mean), lo), hi)
+        return {k: float(k == count) for k in range(lo, hi + 1)}
+    nd = NormalDist(config.truth_count_mean, config.truth_count_std)
     dist = {}
     for k in range(lo, hi + 1):
         left = -math.inf if k == lo else k - 0.5

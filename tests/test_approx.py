@@ -31,6 +31,7 @@ from multitruth import (
 )
 from multitruth import approx
 from multitruth.approx import ERROR_BOUND, approx_fuse_dataset
+from multitruth.exact import DEFAULT_CANDIDATE_CAP
 from multitruth.index import ClaimIndex
 from multitruth.methods import fusion_backend
 
@@ -211,6 +212,40 @@ class TestErrorBound:
         within = sum(d < ERROR_BOUND for d in deviations)
         assert within >= 45
         assert sorted(deviations)[len(deviations) // 2] < 0.01
+
+    def test_quality_instances_up_to_the_cap(self):
+        # A7's documented property on A7's generator, with items of up to
+        # the exact engine's cap of candidates instead of at most 6
+        rng = np.random.default_rng(1212)
+        deviations, wide = [], 0
+        for _ in range(300):
+            n_values = int(rng.integers(1, DEFAULT_CANDIDATE_CAP + 1))
+            values = [f"v{j:02d}" for j in range(n_values)]
+            psi = {f"s{i}": set(rng.choice(values, size=int(rng.integers(1, n_values + 1)),
+                                           replace=False).tolist())
+                   for i in range(int(rng.integers(1, 6)))}
+            claims = ClaimSet.from_claims("d", psi)
+            qualities = {s: SourceQuality(
+                accuracy=float(rng.uniform(0.3, 0.95)),
+                recall=float(rng.uniform(0.3, 0.95)),
+                false_positive_rate=float(rng.uniform(0.3, 0.95)),
+                precision=float(rng.uniform(0.3, 0.95))) for s in psi}
+            weights = rng.uniform(0.05, 1.0, size=int(rng.integers(1, 8)))
+            prior = PriorConfig(n=int(rng.integers(1, 30)), alpha=float(rng.uniform(0.05, 0.9)),
+                                truth_count_dist={k + 1: float(w / weights.sum())
+                                                  for k, w in enumerate(weights)})
+            fixture = fixture_from_qualities(claims, qualities, prior)
+            exact = exact_fuse_from_votes(fixture)
+            approx_result = approx_fuse_from_votes(fixture)
+            for result in (exact, approx_result):
+                assert all(math.isfinite(p) and 0.0 <= p <= 1.0
+                           for p in result.probabilities.values())
+            deviations.append(max(abs(exact.probabilities[v] - approx_result.probabilities[v])
+                                  for v in exact.probabilities))
+            wide += len(claims.candidates) > 6
+        assert wide >= 80  # about a third of the items
+        assert float(np.median(deviations)) < 0.01
+        assert sum(d < ERROR_BOUND for d in deviations) >= 0.9 * len(deviations)
 
     def test_mismatched_candidates_rejected(self, step_fixture):
         exact = exact_fuse_from_votes(step_fixture)

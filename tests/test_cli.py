@@ -343,6 +343,14 @@ class TestCompareSweep:
         with out.open() as fh:
             assert [r["grid_value"] for r in csv.DictReader(fh)] == ["3", "4"]
 
+    def test_zero_truth_count_std_grid(self, runner, tmp_path):
+        out = tmp_path / "report.csv"
+        result = runner.invoke(main, ["compare", "--methods", "majority", "--reps", "1",
+                                      "--grid", "truth_count_std=0", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        with out.open() as fh:
+            assert [r["grid_value"] for r in csv.DictReader(fh)] == ["0.0"]
+
     def test_sweep_canned_grid(self, runner, tmp_path):
         out = tmp_path / "sweep.csv"
         result = runner.invoke(main, ["sweep", "--figure", "extra",

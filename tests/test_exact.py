@@ -4,6 +4,7 @@ invariances."""
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,11 +27,20 @@ from multitruth import (
     exact_fuse_from_votes,
     iterate,
 )
-from multitruth.exact import PRUNE_THRESHOLD, conditional_distribution, exact_fuse_dataset
+from multitruth import exact
+from multitruth.exact import (
+    PRUNE_THRESHOLD,
+    _normalise,
+    _prior_logs,
+    _SourceCells,
+    conditional_distribution,
+    exact_fuse_dataset,
+)
 from multitruth.index import ClaimIndex
+from multitruth.likelihood import category_log_probs, category_probs
 from multitruth.io import claims_by_item
 from multitruth.methods import fusion_backend
-from multitruth.synth import SynthConfig, generate
+from multitruth.synth import SynthConfig, generate, truth_count_distribution
 
 from conftest import random_instance
 
@@ -389,6 +399,217 @@ class TestDatasetPass:
                                                    hockey_prior))
         with pytest.raises(UnknownSourceError):
             exact_fuse_dataset(ClaimIndex({"d": hockey_claims}), qualities, hockey_prior)
+
+
+def scalar_enumerate(m, cond_of, prune):
+    """Reference for the layered DP: the scalar subset DP it replaced.
+    `cond_of(mask, remaining)` gives the conditional probability of each
+    candidate in `remaining` (the indices not in `mask`, ascending) being
+    the next truth.  Masks are visited in increasing order, so every
+    subset comes after all of its predecessors; a non-empty subset whose
+    mass is not above `prune` is not expanded."""
+    full = (1 << m) - 1
+    totals = [0.0] * m
+    mass = [0.0] * (1 << m)
+    mass[0] = 1.0
+    for mask in range(max(full, 1)):
+        world_p = mass[mask]
+        if mask and world_p <= prune:
+            continue
+        remaining = [v for v in range(m) if not mask >> v & 1]
+        expand = len(remaining) > 1
+        for v, p in zip(remaining, cond_of(mask, remaining)):
+            branch = world_p * p
+            totals[v] += branch
+            if expand:
+                mass[mask | 1 << v] += branch
+    return [min(max(t, 0.0), 1.0) for t in totals]
+
+
+def scalar_exact_fuse(claims, qualities, prior, prune):
+    """One item through `scalar_enumerate`, each source's log-likelihood
+    read from its cells and summed in source order."""
+    values = sorted(claims.candidates, key=str)
+    m = len(values)
+    bit = {v: j for j, v in enumerate(values)}
+    sources = []
+    for s in sorted(claims.per_source, key=str):
+        provided = claims.per_source[s]
+        log_probs = category_log_probs(category_probs(qualities[s], prior.n))
+        sources.append((sum(1 << bit[v] for v in provided),
+                        _SourceCells(log_probs, len(provided))))
+    priors = [_prior_logs(m, prior, i) for i in range(m + 1)]
+
+    def cond_of(mask, remaining):
+        k = m - len(remaining)
+        cells = [table[k, (mask & provided).bit_count()] for provided, table in sources]
+        lls = [sum(cell[0 if provided >> v & 1 else 1]
+                   for (provided, _), cell in zip(sources, cells)) for v in remaining]
+        ll_bot = sum(cell[2] for cell in cells)
+        log_v_prior, log_beta = priors[k]
+        return _normalise([ll + log_v_prior for ll in lls] + [ll_bot + log_beta],
+                          claims.item_id)
+
+    return dict(zip(values, scalar_enumerate(m, cond_of, prune)))
+
+
+def scalar_exact_from_votes(fixture, prune):
+    values = sorted(fixture.votes, key=str)
+    votes = [fixture.votes[v] for v in values]
+
+    def cond_of(mask, remaining):
+        denom = sum(votes[v] for v in remaining) + fixture.bot_at(len(values) - len(remaining) + 1)
+        return [votes[v] / denom for v in remaining]
+
+    return dict(zip(values, scalar_enumerate(len(values), cond_of, prune)))
+
+
+def wide_item(rng, m, name="wide"):
+    """An item of exactly m candidates over 3 to 8 sources that provide
+    one to four values each, with random qualities and prior."""
+    values = [f"v{j:02d}" for j in range(m)]
+    sources = [f"s{i}" for i in range(int(rng.integers(3, 9)))]
+    psi = {s: set(rng.choice(values, size=min(int(rng.integers(1, 5)), m),
+                             replace=False).tolist())
+           for s in sources}
+    for v in set(values) - set().union(*psi.values()):
+        psi[sources[int(rng.integers(len(sources)))]].add(v)
+    qualities = {s: SourceQuality(accuracy=float(rng.uniform(0.3, 0.95)),
+                                  recall=float(rng.uniform(0.3, 0.95)),
+                                  false_positive_rate=float(rng.uniform(0.05, 0.7)))
+                 for s in sources}
+    weights = rng.uniform(0.05, 1.0, size=int(rng.integers(1, 6)))
+    prior = PriorConfig(n=int(rng.integers(2, 20)), alpha=0.25,
+                        truth_count_dist={k + 1: float(w / weights.sum())
+                                          for k, w in enumerate(weights)})
+    return ClaimSet.from_claims(name, psi), qualities, prior
+
+
+def _assert_matches_scalar(result, reference):
+    assert list(result.probabilities) == list(reference)
+    for v, p in reference.items():
+        assert abs(result.probabilities[v] - p) <= 1e-12
+    assert set(result.selected_truths) == {v for v, p in reference.items() if p > 0.5}
+
+
+class TestLayersMatchScalarDP:
+    """The layered DP against the scalar one on items of 7 to 12
+    candidates: the same worlds, pruned alike, summed in another order."""
+
+    @pytest.mark.parametrize("prune", [0.0, PRUNE_THRESHOLD])
+    def test_quality_path(self, prune):
+        rng = np.random.default_rng(7012)
+        for m in [7, 8, 9, 10, 11, 12] * 2:
+            claims, qualities, prior = wide_item(rng, m)
+            _assert_matches_scalar(exact_fuse(claims, qualities, prior, prune=prune),
+                                   scalar_exact_fuse(claims, qualities, prior, prune))
+
+    def test_bit_count(self):
+        # masks wider than the default cap take the 12-bit table in parts
+        rng = np.random.default_rng(7014)
+        for bits in (1, 6, 12, 13, 24, 40):
+            x = rng.integers(0, 1 << bits, size=200)
+            assert exact._bit_count(x, bits).tolist() == [v.bit_count() for v in x.tolist()]
+
+    @pytest.mark.parametrize("prune", [0.0, PRUNE_THRESHOLD])
+    def test_vote_path(self, prune):
+        rng = np.random.default_rng(7013)
+        for m in [7, 8, 9, 10, 11, 12] * 2:
+            votes = {f"v{j:02d}": float(rng.lognormal(0.0, 2.0)) for j in range(m)}
+            bot_votes = [0.0 if rng.random() < 0.2 else float(rng.lognormal(0.0, 2.0))
+                         for _ in range(int(rng.integers(1, m + 1)))]
+            fixture = VoteCountFixture(votes=votes, bot_votes=bot_votes)
+            _assert_matches_scalar(exact_fuse_from_votes(fixture, prune=prune),
+                                   scalar_exact_from_votes(fixture, prune))
+
+
+class TestBatchIndependence:
+    """No item's arithmetic depends on the items that share its layers and
+    blocks: the dataset pass is `repr`-equal to one item at a time."""
+
+    def test_mixed_widths(self, monkeypatch):
+        rng = np.random.default_rng(1112)
+        dataset, qualities = {}, {}
+        for d, m in enumerate(rng.permutation(list(range(1, 13)) * 2).tolist()):
+            claims, item_qualities, prior = wide_item(rng, m, name=f"d{d:02d}")
+            dataset[claims.item_id] = claims
+            # one quality per source name across the items
+            for s, q in item_qualities.items():
+                qualities.setdefault(s, q)
+        prior = PriorConfig(n=10, alpha=0.25, truth_count_dist={1: 0.3, 2: 0.4, 3: 0.3})
+        sources = sorted(qualities)
+        index = ClaimIndex(dataset)
+        for active in (None, set(rng.choice(sources, size=4, replace=False).tolist())):
+            alone = {item: repr(exact_fuse(claims if active is None else claims.restrict(active),
+                                           qualities, prior))
+                     for item, claims in dataset.items()}
+            for block_cells in (exact.BLOCK_CELLS, 300):
+                monkeypatch.setattr(exact, "BLOCK_CELLS", block_cells)
+                fused = exact_fuse_dataset(index, qualities, prior, active)
+                assert {item: repr(r) for item, r in fused.items()} == alone
+
+
+    def test_degenerate_item_named_in_index_order(self):
+        # every source needs exactly as many truths as it gives values, and
+        # the prior exactly two truths: "a" is degenerate only once "x" or
+        # "y" is selected, "b" already at the empty selection
+        q = SourceQuality(accuracy=0.9, recall=1.0, false_positive_rate=0.0)
+        dataset = {"a": ClaimSet.from_claims("a", {"s1": ["x"], "s2": ["y"]}),
+                   "b": ClaimSet.from_claims("b", {"s1": ["p", "q"], "s2": ["r"]})}
+        prior = PriorConfig(truth_count_dist={2: 1.0})
+        with pytest.raises(DegenerateEvidenceError, match="^degenerate evidence on item 'a': "):
+            exact_fuse_dataset(ClaimIndex(dataset), {"s1": q, "s2": q}, prior)
+        assert conditional_distribution(dataset["a"], {"s1": q, "s2": q}, prior, [])["x"] > 0
+
+        # qualities at the 0/1 edges make some items degenerate, some only
+        # once a value is selected; the pass must name the first item in
+        # index order whose own enumeration raises, wherever in its layers
+        rng = np.random.default_rng(2121)
+        prior = PriorConfig(n=10, alpha=0.25, truth_count_dist={1: 0.5, 2: 0.5})
+        raised = 0
+        for _ in range(60):
+            dataset, qualities, _ = random_dataset(rng, n_items=6, max_values=4)
+            qualities = {s: SourceQuality(**{
+                name: float(rng.integers(0, 2)) if rng.random() < 0.12 else getattr(q, name)
+                for name in ("accuracy", "recall", "false_positive_rate", "precision")})
+                for s, q in qualities.items()}
+            errors = {}
+            for item in sorted(dataset):
+                try:
+                    exact_fuse(dataset[item], qualities, prior)
+                except DegenerateEvidenceError as exc:
+                    errors[item] = str(exc)
+            if errors:
+                raised += 1
+                with pytest.raises(DegenerateEvidenceError) as caught:
+                    exact_fuse_dataset(ClaimIndex(dataset), qualities, prior)
+                assert str(caught.value) == errors[min(errors)]
+            else:
+                fused = exact_fuse_dataset(ClaimIndex(dataset), qualities, prior)
+                assert all(repr(fused[item]) == repr(exact_fuse(claims, qualities, prior))
+                           for item, claims in dataset.items())
+        assert 10 <= raised <= 50
+
+
+def test_pass_memory_is_bounded():
+    # the first round of `iterate` on the benchmark's fuse_exact data: the
+    # layered DP holds each block's states and (row, source) cells at
+    # once, which the blocks keep well under 1 MB
+    cfg = SynthConfig(num_items=150, truth_count_max=2, false_domain_size=4, extra_ratio=0.6,
+                      source_accuracy=0.9, source_recall=0.9, rng_seed=1)
+    index = ClaimIndex(claims_by_item(generate(cfg)[0]))
+    prior = PriorConfig(n=10, alpha=0.25, truth_count_dist=truth_count_distribution(cfg))
+    quality = IterationConfig().init_quality.clamped()
+    qualities = dict.fromkeys(index.sources, quality)
+    exact_fuse_dataset(index, qualities, prior)
+    tracemalloc.start()
+    try:
+        fused = exact_fuse_dataset(index, qualities, prior)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fused) == 150
+    assert peak <= 1 << 20, f"peak {peak / 1e6:.2f} MB"
 
 
 HASH_SEED_SCRIPT = """

@@ -89,6 +89,17 @@ class TestTruthCountDistribution:
         dist = truth_count_distribution(SynthConfig())
         PriorConfig(n=10, alpha=0.25, truth_count_dist=dist)  # must validate
 
+    @pytest.mark.parametrize("mean", [0.2, 2.5, 4.49, 6.0, 14.0])
+    def test_point_mass_at_zero_std(self, mean):
+        # the normal CDF is undefined at sigma 0; generate then gives every
+        # item the clipped, rounded mean
+        cfg = SynthConfig(num_items=20, truth_count_mean=mean, truth_count_std=0.0)
+        dist = truth_count_distribution(cfg)
+        counts = {len(truths) for truths in generate(cfg)[1].truths.values()}
+        assert len(counts) == 1
+        assert dist == {k: float(k in counts) for k in range(1, 11)}
+        PriorConfig(n=10, alpha=0.25, truth_count_dist=dist)  # must validate
+
 
 class TestGenerate:
     def test_deterministic(self):
