@@ -64,21 +64,19 @@ def vote_count(value: Any, providers: Iterable[Any],
 
 
 def bot_vote_count(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
-                   prior: PriorConfig, i: int, selected_count: int) -> float:
-    """Vote of "no more truth" at step i (selected_count values committed).
+                   prior: PriorConfig, i: int) -> float:
+    """Vote of "no more truth" at step i, once i - 1 values are committed.
 
     Sources that provided more values than already committed argue against
     stopping; sources already fully accounted for argue in favor.
     """
-    if selected_count != i - 1:
-        raise ValueError("selected_count must equal i - 1")
     beta = beta_at(prior, i)
     prefactor = beta * prior_slot_count(prior, len(claims.candidates), i) / (1.0 - beta)
     total = prefactor
     for s in sorted(claims.per_source, key=str):
         provided = claims.per_source[s]
         q = quality_of(qualities, s)
-        if len(provided) > selected_count:
+        if len(provided) > i - 1:
             total *= q.false_positive_rate / (q.recall * (1.0 - q.accuracy))
         else:
             if q.recall >= 1.0:
@@ -375,21 +373,20 @@ def fixture_from_qualities(claims: ClaimSet, qualities: Mapping[Any, SourceQuali
     votes = {v: vote_count(v, [s for s, vs in claims.per_source.items() if v in vs],
                            clamped, prior.n)
              for v in claims.candidates}
-    bots = [bot_vote_count(claims, clamped, prior, i, i - 1)
-            for i in range(1, len(votes) + 1)]
+    bots = [bot_vote_count(claims, clamped, prior, i) for i in range(1, len(votes) + 1)]
     return VoteCountFixture(votes=votes, bot_votes=bots)
 
 
-def case_one_fixture(gamma: float, a: float = 1.0, eps: float = 1e-9) -> VoteCountFixture:
+def case_one_fixture(gamma: float) -> VoteCountFixture:
     """Three-value worst case for early termination: one value with vote
-    gamma*a, two tied at a, and stop votes that overtake at step 2.  The
-    exact-minus-approx deviation on the weakest value is
-    (1/6)*(gamma+1)/(gamma+2) in the eps -> 0 limit."""
+    gamma, two tied at 1, and stop votes of 1 + 1e-9 that overtake at step
+    2.  The exact-minus-approx deviation on the weakest value tends to
+    (1/6)*(gamma+1)/(gamma+2) as the 1e-9 margin goes to 0."""
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
     return VoteCountFixture(
-        votes={"v1": gamma * a, "v2": a, "v3": a},
-        bot_votes=[0.0, a + eps, a + eps],
+        votes={"v1": gamma, "v2": 1.0, "v3": 1.0},
+        bot_votes=[0.0, 1.0 + 1e-9, 1.0 + 1e-9],
     )
 
 

@@ -48,14 +48,17 @@ def majority_vote(claims: ClaimSet) -> FusionResult:
 
 
 def _accuracy_votes(claims: ClaimSet, qualities: Mapping[Any, SourceQuality], n: int):
-    """Each value's product of n*A/(1-A) over its providers, in source order."""
-    votes = dict.fromkeys(claims.candidates, 1.0)
+    """Each value's vote: the sum of log n*A/(1-A) over its providers, in
+    source order, exponentiated after a shift by the largest, so that no
+    number of sources overflows it."""
+    log_votes = dict.fromkeys(claims.candidates, 0.0)
     for s in sorted(claims.per_source, key=str):
         a = clamp(quality_of(qualities, s).accuracy)
-        factor = n * a / (1.0 - a)
+        term = math.log(n * a / (1.0 - a))
         for v in claims.per_source[s]:
-            votes[v] *= factor
-    return votes
+            log_votes[v] += term
+    top = max(log_votes.values())
+    return {v: math.exp(lv - top) for v, lv in log_votes.items()}
 
 
 def accu_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality], n: int) -> FusionResult:

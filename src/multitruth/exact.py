@@ -8,8 +8,9 @@ runs as a dynamic program over subsets: the candidates are numbered in
 token order, a subset is a bitmask, and the mass of a subset is the
 summed probability of every selection order that reaches it.  One item
 costs O(2^m * m * S) for m candidates and S sources, so the candidate
-count is capped (`DEFAULT_CANDIDATE_CAP`); serves as the oracle for the
-quadratic approximation.
+count is capped at `CANDIDATE_CAP`, and a subset of mass at most
+`PRUNE_THRESHOLD` is not expanded; both are module constants, which no
+call overrides.  Serves as the oracle for the quadratic approximation.
 
 Subsets of one size do not depend on each other, so `_enumerate` runs
 the DP in layers: layer k holds every live (item, subset of k values)
@@ -53,7 +54,9 @@ from .model import (
     sort_values,
 )
 
-DEFAULT_CANDIDATE_CAP = 12
+# the most candidates an item may have; larger items raise
+# InstanceTooLargeError
+CANDIDATE_CAP = 12
 
 # Worlds whose cumulative probability falls below this contribute nothing
 # at the supported tolerances; skipping them bounds work.
@@ -67,18 +70,8 @@ BLOCK_CELLS = 1 << 15
 
 _LOWEST = float(np.finfo(float).min)
 
-# the number of set bits of every 12-bit number
-_BIT_COUNTS = sum(np.arange(1 << 12) >> bit & 1 for bit in range(12))
-
-
-def _bit_count(x: np.ndarray, bits: int) -> np.ndarray:
-    """Set bits of each element of `x`, an int64 array below 2**bits."""
-    if bits <= 12:
-        return _BIT_COUNTS[x]
-    count = _BIT_COUNTS[x & 0xFFF]
-    for shift in range(12, bits, 12):
-        count += _BIT_COUNTS[x >> shift & 0xFFF]
-    return count
+# the number of set bits of every mask of CANDIDATE_CAP bits
+_BIT_COUNTS = sum(np.arange(1 << CANDIDATE_CAP) >> bit & 1 for bit in range(CANDIDATE_CAP))
 
 
 def _degenerate(item_id: Any) -> DegenerateEvidenceError:
@@ -148,8 +141,7 @@ def conditional_prob(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
 Conditional = Callable[..., np.ndarray]
 
 
-def _enumerate(cand_count: np.ndarray, cond: Conditional,
-               prune: float) -> Tuple[np.ndarray, Optional[int]]:
+def _enumerate(cand_count: np.ndarray, cond: Conditional) -> Tuple[np.ndarray, Optional[int]]:
     """Sum over all selection sequences of every item's candidates as a
     DP over subsets, one layer of subsets of one size at a time.
 
@@ -163,8 +155,8 @@ def _enumerate(cand_count: np.ndarray, cond: Conditional,
     weight; a state's conditional probability of each outcome being the
     next truth is its weight over their sum, and a state whose weights sum
     to 0 has degenerate evidence.  BOTTOM ends the world and contributes
-    nothing.  A non-empty state whose mass is not above `prune` is not
-    expanded; the mass sums every order reaching it, so this prunes no
+    nothing.  A non-empty state whose mass is not above PRUNE_THRESHOLD
+    is not expanded; the mass sums every order reaching it, so this prunes no
     more than a walk over the orders themselves.  The empty selection is
     evaluated even without candidates, so evidence that rules out
     stopping at once is still found.
@@ -210,7 +202,7 @@ def _enumerate(cand_count: np.ndarray, cond: Conditional,
         reached[child] = True
         keys = np.flatnonzero(reached)
         mass = np.bincount(child, weights=branch[grow], minlength=len(reached))[keys]
-        keep = mass > prune
+        keep = mass > PRUNE_THRESHOLD
         keys, mass = keys[keep], mass[keep]
         item = child_item[keys]
         mask = keys - child_at[item]
@@ -279,24 +271,21 @@ def _select(probabilities: Dict[Any, float]):
 
 
 def exact_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
-               prior: PriorConfig, max_candidates: int = DEFAULT_CANDIDATE_CAP,
-               prune: float = PRUNE_THRESHOLD) -> FusionResult:
+               prior: PriorConfig) -> FusionResult:
     """Exact per-value truth probabilities by full possible-world
     enumeration; values with probability above 0.5 are selected.  This is
     `exact_fuse_dataset` on a one-item index."""
     index = ClaimIndex({claims.item_id: claims})
-    return exact_fuse_dataset(index, qualities, prior, max_candidates=max_candidates,
-                              prune=prune)[claims.item_id]
+    return exact_fuse_dataset(index, qualities, prior)[claims.item_id]
 
 
 def exact_fuse_dataset(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
-                       prior: PriorConfig, active: Optional[Iterable[Any]] = None,
-                       max_candidates: int = DEFAULT_CANDIDATE_CAP,
-                       prune: float = PRUNE_THRESHOLD) -> Dict[Any, FusionResult]:
+                       prior: PriorConfig,
+                       active: Optional[Iterable[Any]] = None) -> Dict[Any, FusionResult]:
     """`exact_fuse` on every item of the index, with only the `active`
     sources (all if None) contributing.
 
-    Every item's candidate count is checked against the cap before any
+    Every item's candidate count is checked against CANDIDATE_CAP before any
     item is enumerated.  Each source's category log-probabilities are
     taken once, its cells are shared by every item where it provides the
     same number of values, and the priors are cells shared by every item
@@ -306,10 +295,10 @@ def exact_fuse_dataset(index: ClaimIndex, qualities: Mapping[Any, SourceQuality]
     `DegenerateEvidenceError` names the first such item in index order."""
     counts = index.cand_count
     for m in counts.tolist():
-        if m > max_candidates:
+        if m > CANDIDATE_CAP:
             raise InstanceTooLargeError(
                 f"instance too large for exact enumeration ({m} candidates "
-                f"> cap {max_candidates}); use the approximation")
+                f"> cap {CANDIDATE_CAP}); use the approximation")
     if not len(index):
         return {}
     on = index.source_mask(active)
@@ -346,7 +335,7 @@ def exact_fuse_dataset(index: ClaimIndex, qualities: Mapping[Any, SourceQuality]
         a, b = pair_at[lo], pair_at[hi]
         cond = _likelihood_conditional(counts[lo:hi], pair_item[a:b] - lo, column[a:b],
                                        provided[a:b], table_of[a:b], prior_table[lo:hi], tables)
-        block, bad = _enumerate(counts[lo:hi], cond, prune)
+        block, bad = _enumerate(counts[lo:hi], cond)
         if bad is not None:
             raise _degenerate(index.item_ids[lo + bad])
         totals[cand_start[lo]:cand_start[hi]] = block
@@ -413,7 +402,7 @@ def _likelihood_conditional(cand_count: np.ndarray, pair_item: np.ndarray,
     kind *= n_keys
 
     def cond(k, item, mask, row_state, row_item, row_bit):
-        key = tab[:, item] + _bit_count(mask & prov[:, item], bits)
+        key = tab[:, item] + _BIT_COUNTS[mask & prov[:, item]]
         used = np.zeros(n_keys, dtype=bool)
         used[key] = True
         used = np.flatnonzero(used)
@@ -434,8 +423,7 @@ def _likelihood_conditional(cand_count: np.ndarray, pair_item: np.ndarray,
     return cond
 
 
-def exact_fuse_from_votes(fixture: VoteCountFixture, item_id: Any = None,
-                          prune: float = PRUNE_THRESHOLD) -> FusionResult:
+def exact_fuse_from_votes(fixture: VoteCountFixture, item_id: Any = None) -> FusionResult:
     """Exact enumeration with conditionals taken from injected vote
     counts: p(v | selected) = L(v) / (sum of unselected L + stop vote)."""
     values = sorted(fixture.votes, key=str)
@@ -446,7 +434,7 @@ def exact_fuse_from_votes(fixture: VoteCountFixture, item_id: Any = None,
         weights[-1] = fixture.bot_at(k + 1)
         return weights[row_bit]
 
-    totals, bad = _enumerate(np.array([len(values)]), cond, prune)
+    totals, bad = _enumerate(np.array([len(values)]), cond)
     if bad is not None:
         raise DegenerateEvidenceError("degenerate votes: zero denominator")
     probabilities = dict(zip(values, totals.tolist()))

@@ -11,7 +11,7 @@ import logging
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import ParseError
 from .model import (
@@ -36,15 +36,16 @@ class LoadReport:
     n_duplicates: int
 
 
-def _detect_format(path: Path, fmt: Optional[str]) -> str:
-    if fmt:
-        return fmt
-    suffix = path.suffix.lower()
-    if suffix == ".csv":
-        return "csv"
-    if suffix in (".jsonl", ".json", ".ndjson"):
-        return "jsonl"
-    raise ParseError(f"cannot infer claims format from {path.name!r}; pass format explicitly")
+# the claims file suffixes and the format each is read as
+_FORMAT_OF_SUFFIX = {".csv": "csv", ".jsonl": "jsonl", ".json": "jsonl", ".ndjson": "jsonl"}
+
+
+def _detect_format(path: Path) -> str:
+    try:
+        return _FORMAT_OF_SUFFIX[path.suffix.lower()]
+    except KeyError:
+        raise ParseError(f"cannot infer claims format from {path.name!r}; expected one "
+                         f"of the suffixes {', '.join(_FORMAT_OF_SUFFIX)}") from None
 
 
 def _csv_rows(path: Path, kind: str, columns: Sequence[str], optional: Sequence[str] = ()):
@@ -71,7 +72,7 @@ def _csv_rows(path: Path, kind: str, columns: Sequence[str], optional: Sequence[
 def _iter_claim_rows(path: Path, fmt: str):
     if fmt == "csv":
         yield from _csv_rows(path, "claims", CLAIM_COLUMNS)
-    elif fmt == "jsonl":
+    else:
         with path.open() as fh:
             for line_no, raw in enumerate(fh, start=1):
                 if not raw.strip():
@@ -92,17 +93,14 @@ def _iter_claim_rows(path: Path, fmt: str):
                 if normalize_value(value) == "":
                     raise ParseError(f"empty claims value in {path}", line=line_no)
                 yield source, item, value
-    else:
-        raise ParseError(f"unknown claims format {fmt!r}")
 
 
-def load_claims(path, fmt: Optional[str] = None) -> Tuple[Dict[Any, ClaimSet], LoadReport]:
+def load_claims(path) -> Tuple[Dict[Any, ClaimSet], LoadReport]:
     """Read claims grouped into per-item ClaimSets; duplicate triples
     (equal once values are normalized) collapse in the grouping and are
     counted in the report."""
     path = Path(path)
-    fmt = _detect_format(path, fmt)
-    claims = list(_iter_claim_rows(path, fmt))
+    claims = list(_iter_claim_rows(path, _detect_format(path)))
     if not claims:
         raise ParseError(f"no claims found in {path}")
     dataset = claims_by_item(claims)
@@ -144,7 +142,7 @@ def write_probabilities(results: Mapping[Any, FusionResult], path) -> None:
 
 def write_run_summary(path, method: str, iterations: int,
                       qualities: Mapping[Any, SourceQuality],
-                      report: Optional[LoadReport] = None) -> None:
+                      report: LoadReport) -> None:
     payload = {
         "method": method,
         "iterations": iterations,
@@ -157,13 +155,12 @@ def write_run_summary(path, method: str, iterations: int,
             }
             for s, q in sorted(qualities.items(), key=lambda kv: str(kv[0]))
         },
-    }
-    if report is not None:
-        payload["load_report"] = {
+        "load_report": {
             "rows": report.n_rows,
             "claims": report.n_claims,
             "duplicates": report.n_duplicates,
-        }
+        },
+    }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

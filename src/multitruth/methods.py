@@ -35,7 +35,7 @@ def _majority(claims, qualities, prior):
 
 FUSION_BACKENDS: dict[str, FusionBackend] = {
     "hybrid": DatasetBackend(approx_fuse, approx_fuse_dataset),
-    # on the qualities `iterate` clamps once per round, at the default cap
+    # on the qualities `iterate` clamps once per round
     "hybrid-exact": DatasetBackend(exact_fuse, exact_fuse_dataset),
     "accu": _accu,
     "precrec": precrec_fuse,

@@ -25,6 +25,10 @@ log = logging.getLogger(__name__)
 # result at once; `iterate` then calls that instead.
 FusionBackend = Callable[[ClaimSet, Mapping[Any, SourceQuality], PriorConfig], FusionResult]
 
+# `iterate` stops once no quality field moves more than this in a round
+TOLERANCE = 1e-4
+
+
 def source_metrics(index: ClaimIndex, results: Mapping[Any, FusionResult],
                    accuracy_mode: str = "per-item") -> Tuple[List[float], List[float], List[float]]:
     """Precision, recall and accuracy of every source of the index, in its
@@ -124,7 +128,6 @@ class IterationConfig:
     init_quality: SourceQuality = SourceQuality(
         accuracy=0.8, recall=0.8, false_positive_rate=0.2, precision=0.8)
     max_iterations: int = 5
-    tolerance: float = 1e-4
     accuracy_mode: str = "per-item"
     # Precision, recall, and the false-positive rate are estimated from an
     # item's probabilistic truth mass.  Backends that normalize each item's
@@ -134,6 +137,8 @@ class IterationConfig:
     update_slot_metrics: bool = True
 
     def __post_init__(self):
+        if self.max_iterations < 0:
+            raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
         if self.accuracy_mode not in ("per-item", "literal"):
             raise ValueError(f"invalid accuracy_mode {self.accuracy_mode!r}")
 
@@ -169,7 +174,7 @@ def iterate(dataset: Mapping[Any, ClaimSet], prior: PriorConfig,
     Sources failing the good-source test are excluded from the next
     fusion round (their values stay candidates) but are re-tested every
     iteration.  Stops at `max_iterations` or when no quality moves more
-    than the tolerance.  With max_iterations=0 this is a single fusion
+    than TOLERANCE.  With max_iterations=0 this is a single fusion
     pass at the initial qualities.  Both halves of the loop run on one
     `ClaimIndex` of the dataset.  Each round clamps every quality once and
     fuses on the clamped copies; the qualities returned are unclamped.  A
@@ -218,7 +223,7 @@ def iterate(dataset: Mapping[Any, ClaimSet], prior: PriorConfig,
             log.warning("no source passes the good-source test at iteration %d; "
                         "fusing with all sources", it)
         results = _fuse_all(dataset, index, clamped, prior, fusion, good_sources or None)
-        if delta < config.tolerance:
+        if delta < TOLERANCE:
             log.debug("quality iteration converged at step %d (delta %.2g)", it, delta)
             break
     return results, qualities, records

@@ -204,6 +204,8 @@ def compare(methods: Sequence[str], config: SynthConfig,
     """
     if not methods:
         raise ValueError("need at least one method")
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     for name in methods:
         fusion_backend(name)  # fail fast on unknown names
     points: List[Tuple[str, Any]] = [("", None)]

@@ -31,7 +31,7 @@ from multitruth import (
 )
 from multitruth import approx
 from multitruth.approx import ERROR_BOUND, approx_fuse_dataset
-from multitruth.exact import DEFAULT_CANDIDATE_CAP
+from multitruth.exact import CANDIDATE_CAP
 from multitruth.index import ClaimIndex
 from multitruth.methods import fusion_backend
 
@@ -68,14 +68,14 @@ class TestBotVoteCount:
         # step 1, nothing selected: every source provided >0 values, so each
         # contributes Q/(R(1-A)); the prior prefactor is beta*slots/(1-beta)
         beta = 0.0  # no chance of zero truths
-        got = bot_vote_count(hockey_claims, hockey_qualities, hockey_prior, 1, 0)
+        got = bot_vote_count(hockey_claims, hockey_qualities, hockey_prior, 1)
         assert got == pytest.approx(0.0)
         # step 3: two values selected; all sources provided 2 > 2 is false,
         # so each contributes (1-Q)/(1-R)
         beta3 = 0.7
         slots = len(hockey_claims.candidates) - 3 + 1
         expected = beta3 * slots / (1 - beta3) * ((1 - 0.1) / (1 - 0.9)) ** 3
-        got = bot_vote_count(hockey_claims, hockey_qualities, hockey_prior, 3, 2)
+        got = bot_vote_count(hockey_claims, hockey_qualities, hockey_prior, 3)
         assert got == pytest.approx(expected)
 
     def test_mixed_sources(self, hockey_claims, hockey_qualities, hockey_prior):
@@ -83,18 +83,14 @@ class TestBotVoteCount:
         beta2 = 0.3
         slots = len(hockey_claims.candidates) - 2 + 1
         expected = beta2 * slots / (1 - beta2) * (0.1 / (0.9 * 0.4)) ** 3
-        got = bot_vote_count(hockey_claims, hockey_qualities, hockey_prior, 2, 1)
+        got = bot_vote_count(hockey_claims, hockey_qualities, hockey_prior, 2)
         assert got == pytest.approx(expected)
-
-    def test_selected_count_checked(self, hockey_claims, hockey_qualities, hockey_prior):
-        with pytest.raises(ValueError, match="selected_count"):
-            bot_vote_count(hockey_claims, hockey_qualities, hockey_prior, 2, 0)
 
     def test_recall_one_rejected(self, hockey_prior):
         claims = ClaimSet.from_claims("d", {"s": ["a"]})
         q = {"s": SourceQuality(accuracy=0.5, recall=1.0, false_positive_rate=0.1)}
         with pytest.raises(FusionError, match="recall 1"):
-            bot_vote_count(claims, q, hockey_prior, 2, 1)
+            bot_vote_count(claims, q, hockey_prior, 2)
 
 
 class TestStepLoop:
@@ -219,7 +215,7 @@ class TestErrorBound:
         rng = np.random.default_rng(1212)
         deviations, wide = [], 0
         for _ in range(300):
-            n_values = int(rng.integers(1, DEFAULT_CANDIDATE_CAP + 1))
+            n_values = int(rng.integers(1, CANDIDATE_CAP + 1))
             values = [f"v{j:02d}" for j in range(n_values)]
             psi = {f"s{i}": set(rng.choice(values, size=int(rng.integers(1, n_values + 1)),
                                            replace=False).tolist())

@@ -1,14 +1,20 @@
 """Comparison methods: majority vote, accuracy-weighted single truth,
 independent per-value odds, and count-then-pick."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import multitruth
 from multitruth import (
     ClaimSet,
     IterationConfig,
@@ -349,3 +355,37 @@ def test_twostep_truth_count_matches_reference():
         r = twostep_fuse(claims, qualities, prior)
         assert len(r.selected_truths) == min(tied[0], len(claims.candidates))
         assert any("truth-count tie" in n for n in r.diagnostics.notes) == (len(tied) > 1)
+
+
+MANY_SOURCES_SCRIPT = """
+import json
+from multitruth import ClaimSet, PriorConfig, SourceQuality, accu_fuse, twostep_fuse
+
+q = SourceQuality(accuracy=0.9, recall=0.9, false_positive_rate=0.1)
+prior = PriorConfig()
+for agreeing in (200, 1000):
+    psi = {f"s{i:04d}": ["a"] for i in range(agreeing)}
+    psi["dissent"] = ["b"]
+    claims = ClaimSet.from_claims("d", psi)
+    qualities = dict.fromkeys(psi, q)
+    for r in (accu_fuse(claims, qualities, prior.n), twostep_fuse(claims, qualities, prior)):
+        print(json.dumps([agreeing, r.diagnostics.method, r.probabilities, r.selected_truths]))
+"""
+
+
+def test_accu_and_twostep_finite_with_many_sources():
+    # linear-domain vote products overflowed past about 160 agreeing
+    # sources: 'a' got a NaN, and the selection followed the hash seed
+    src = str(Path(multitruth.__file__).resolve().parents[1])
+    for hash_seed in ("0", "1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", MANY_SOURCES_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        lines = done.stdout.splitlines()
+        assert len(lines) == 4
+        for line in lines:
+            _, _, probabilities, selected = json.loads(line)
+            assert all(math.isfinite(p) and 0.0 <= p <= 1.0 for p in probabilities.values())
+            assert probabilities["a"] == 1.0, line
+            assert selected == ["a"], line

@@ -16,7 +16,7 @@ from click.testing import CliRunner
 import multitruth
 from multitruth import InstanceTooLargeError, IterationConfig, PriorConfig, iterate
 from multitruth import io as mio
-from multitruth.synth import SynthConfig, generate
+from multitruth.synth import SynthConfig, compare, generate
 from multitruth.cli import _CONFIG_KEYS, _load_run_config, main
 from multitruth.methods import FUSION_BACKENDS, fusion_backend, method_iteration_config
 
@@ -360,6 +360,64 @@ class TestCompareSweep:
         with out.open() as fh:
             rows = list(csv.DictReader(fh))
         assert [r["grid_value"] for r in rows] == ["0.2", "0.4", "0.6", "0.8", "1.0"]
+
+
+def _run_cli(*args, cwd):
+    """`python -m multitruth.cli` with `args` in a fresh process."""
+    src = str(Path(multitruth.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "multitruth.cli", *map(str, args)], env=env,
+                          cwd=cwd, capture_output=True, text=True, timeout=120)
+
+
+class TestBadCountsRefused:
+    """A count that cannot run exits 2 with a message at the command line,
+    and is a ValueError in the library."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["compare", "--methods", "majority", "--reps", "0"], "'--reps': 0 is not in the range"),
+        (["sweep", "--figure", "extra", "--reps", "0"], "'--reps': 0 is not in the range"),
+        (["compare", "--methods", "majority", "--reps", "1", "--threads", "0"],
+         "'--threads': 0 is not in the range"),
+        (["sweep", "--figure", "extra", "--reps", "1", "--threads", "0"],
+         "'--threads': 0 is not in the range"),
+    ], ids=["compare-reps", "sweep-reps", "compare-threads", "sweep-threads"])
+    def test_compare_and_sweep(self, tmp_path, args, message):
+        result = _run_cli(*args, "--out", tmp_path / "report.csv", cwd=tmp_path)
+        assert result.returncode == 2
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_negative_max_iterations(self, tmp_path):
+        claims = tmp_path / "claims.csv"
+        claims.write_text("source_id,item_id,value\ns1,d1,a\n")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"max_iterations": -1}))
+        result = _run_cli("fuse", "--method", "hybrid", "--claims", claims, "--config", cfg,
+                          "--out", tmp_path / "o", cwd=tmp_path)
+        assert result.returncode == 2
+        assert "invalid config: max_iterations must be >= 0, got -1" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_library(self):
+        with pytest.raises(ValueError, match="repetitions must be >= 1"):
+            compare(["majority"], SynthConfig(), repetitions=0)
+        with pytest.raises(ValueError, match="max_iterations must be >= 0"):
+            IterationConfig(max_iterations=-1)
+        assert IterationConfig(max_iterations=0).max_iterations == 0
+
+
+def test_claims_suffix_without_a_format(tmp_path):
+    claims = tmp_path / "x.txt"
+    claims.write_text("source_id,item_id,value\ns1,d1,a\n")
+    result = _run_cli("fuse", "--method", "hybrid", "--claims", claims, "--out", tmp_path / "o",
+                      cwd=tmp_path)
+    assert result.returncode == 1
+    assert result.stderr == ("error: cannot infer claims format from 'x.txt'; expected one "
+                             "of the suffixes .csv, .jsonl, .json, .ndjson\n")
 
 
 @pytest.mark.parametrize("method", ["accu", "twostep", "precrec", "majority"])

@@ -95,9 +95,10 @@ class TestExactFuse:
         assert r.probabilities["boots"] < 0.15
         assert r.selected_truths == ["helmet", "stick"]
 
-    def test_candidate_cap(self, hockey_claims, hockey_qualities, hockey_prior):
+    def test_candidate_cap(self, hockey_claims, hockey_qualities, hockey_prior, monkeypatch):
+        monkeypatch.setattr(exact, "CANDIDATE_CAP", 3)
         with pytest.raises(InstanceTooLargeError):
-            exact_fuse(hockey_claims, hockey_qualities, hockey_prior, max_candidates=3)
+            exact_fuse(hockey_claims, hockey_qualities, hockey_prior)
 
     def test_unknown_source(self, hockey_claims, hockey_prior):
         q = SourceQuality(accuracy=0.6, recall=0.9, false_positive_rate=0.1)
@@ -127,6 +128,17 @@ class TestExactFuse:
         psi["all"].add("one-too-many")
         with pytest.raises(InstanceTooLargeError):
             exact_fuse(ClaimSet.from_claims("wider", psi), {s: q for s in psi}, prior)
+
+    def test_thirteen_candidates_over_the_cap(self):
+        # the cap is the module constant; no argument raises it
+        rng = np.random.default_rng(13)
+        claims, qualities, prior = wide_item(rng, 13)
+        assert exact.CANDIDATE_CAP == 12
+        message = r"^instance too large for exact enumeration \(13 candidates > cap 12\); "
+        with pytest.raises(InstanceTooLargeError, match=message):
+            exact_fuse(claims, qualities, prior)
+        with pytest.raises(InstanceTooLargeError, match=message):
+            exact_fuse_dataset(ClaimIndex({claims.item_id: claims}), qualities, prior)
 
     def test_order_independence(self):
         rng = np.random.default_rng(3)
@@ -258,7 +270,8 @@ def _assert_agrees(result, reference):
 
 class TestSubsetDPMatchesWalk:
     @pytest.mark.parametrize("prune", [PRUNE_THRESHOLD, 0.0])
-    def test_quality_path(self, prune):
+    def test_quality_path(self, prune, monkeypatch):
+        monkeypatch.setattr(exact, "PRUNE_THRESHOLD", prune)
         rng = np.random.default_rng(77)
         degenerate = 0
         for i in range(300):
@@ -276,13 +289,14 @@ class TestSubsetDPMatchesWalk:
             except DegenerateEvidenceError:
                 degenerate += 1
                 with pytest.raises(DegenerateEvidenceError):
-                    exact_fuse(claims, qualities, prior, prune=prune)
+                    exact_fuse(claims, qualities, prior)
                 continue
-            _assert_agrees(exact_fuse(claims, qualities, prior, prune=prune), reference)
+            _assert_agrees(exact_fuse(claims, qualities, prior), reference)
         assert degenerate < 150
 
     @pytest.mark.parametrize("prune", [PRUNE_THRESHOLD, 0.0])
-    def test_vote_path(self, prune):
+    def test_vote_path(self, prune, monkeypatch):
+        monkeypatch.setattr(exact, "PRUNE_THRESHOLD", prune)
         rng = np.random.default_rng(78)
         for _ in range(200):
             m = int(rng.integers(1, 8))
@@ -290,8 +304,7 @@ class TestSubsetDPMatchesWalk:
             bot_votes = [0.0 if rng.random() < 0.2 else float(rng.lognormal(0.0, 2.0))
                          for _ in range(int(rng.integers(1, m + 1)))]
             fixture = VoteCountFixture(votes=votes, bot_votes=bot_votes)
-            _assert_agrees(exact_fuse_from_votes(fixture, prune=prune),
-                           walk_exact_from_votes(fixture, prune))
+            _assert_agrees(exact_fuse_from_votes(fixture), walk_exact_from_votes(fixture, prune))
 
 
 def random_dataset(rng, n_items, max_values=6):
@@ -330,14 +343,14 @@ class TestDatasetPass:
     # unpruned, both sum the same worlds; with pruning the walk drops
     # single orders where the DP drops whole subsets, a few 1e-12 apart
     @pytest.mark.parametrize("prune, tolerance", [(0.0, 1e-12), (PRUNE_THRESHOLD, 1e-9)])
-    def test_matches_walk_on_restricted_items(self, prune, tolerance):
+    def test_matches_walk_on_restricted_items(self, prune, tolerance, monkeypatch):
+        monkeypatch.setattr(exact, "PRUNE_THRESHOLD", prune)
         rng = np.random.default_rng(4051)
         checked = no_source = shared = 0
         for i in range(40):
             dataset, qualities, active = random_dataset(rng, n_items=12)
             prior = replace(self.PRIOR, prior_mode=("literal", "example-compatible")[i % 2])
-            fused = exact_fuse_dataset(ClaimIndex(dataset), qualities, prior, active,
-                                       prune=prune)
+            fused = exact_fuse_dataset(ClaimIndex(dataset), qualities, prior, active)
             assert list(fused) == sorted(dataset)
             for item, claims in dataset.items():
                 restricted = claims if active is None else claims.restrict(active)
@@ -373,7 +386,7 @@ class TestDatasetPass:
         assert repr(fused["wide"]) == repr(exact_fuse(wide, qualities, self.PRIOR))
         assert repr(fused["narrow"]) == repr(exact_fuse(narrow, qualities, self.PRIOR))
 
-    def test_cap_checked_before_any_item_is_fused(self):
+    def test_cap_checked_before_any_item_is_fused(self, monkeypatch):
         # the first item in index order has no hypothesis of non-zero
         # likelihood, so enumerating it would raise DegenerateEvidenceError
         q = SourceQuality(accuracy=0.9, recall=1.0, false_positive_rate=0.0)
@@ -385,9 +398,10 @@ class TestDatasetPass:
         index = ClaimIndex(dataset)
         with pytest.raises(DegenerateEvidenceError):
             exact_fuse_dataset(index, {"s1": q, "s2": q}, prior)
+        monkeypatch.setattr(exact, "CANDIDATE_CAP", 5)
         with pytest.raises(InstanceTooLargeError, match=r"^instance too large for exact "
                            r"enumeration \(6 candidates > cap 5\); use the approximation$"):
-            exact_fuse_dataset(index, {"s1": q, "s2": q}, prior, max_candidates=5)
+            exact_fuse_dataset(index, {"s1": q, "s2": q}, prior)
 
     def test_inactive_source_needs_no_quality(self, hockey_claims, hockey_qualities,
                                               hockey_prior):
@@ -497,29 +511,24 @@ class TestLayersMatchScalarDP:
     candidates: the same worlds, pruned alike, summed in another order."""
 
     @pytest.mark.parametrize("prune", [0.0, PRUNE_THRESHOLD])
-    def test_quality_path(self, prune):
+    def test_quality_path(self, prune, monkeypatch):
+        monkeypatch.setattr(exact, "PRUNE_THRESHOLD", prune)
         rng = np.random.default_rng(7012)
         for m in [7, 8, 9, 10, 11, 12] * 2:
             claims, qualities, prior = wide_item(rng, m)
-            _assert_matches_scalar(exact_fuse(claims, qualities, prior, prune=prune),
+            _assert_matches_scalar(exact_fuse(claims, qualities, prior),
                                    scalar_exact_fuse(claims, qualities, prior, prune))
 
-    def test_bit_count(self):
-        # masks wider than the default cap take the 12-bit table in parts
-        rng = np.random.default_rng(7014)
-        for bits in (1, 6, 12, 13, 24, 40):
-            x = rng.integers(0, 1 << bits, size=200)
-            assert exact._bit_count(x, bits).tolist() == [v.bit_count() for v in x.tolist()]
-
     @pytest.mark.parametrize("prune", [0.0, PRUNE_THRESHOLD])
-    def test_vote_path(self, prune):
+    def test_vote_path(self, prune, monkeypatch):
+        monkeypatch.setattr(exact, "PRUNE_THRESHOLD", prune)
         rng = np.random.default_rng(7013)
         for m in [7, 8, 9, 10, 11, 12] * 2:
             votes = {f"v{j:02d}": float(rng.lognormal(0.0, 2.0)) for j in range(m)}
             bot_votes = [0.0 if rng.random() < 0.2 else float(rng.lognormal(0.0, 2.0))
                          for _ in range(int(rng.integers(1, m + 1)))]
             fixture = VoteCountFixture(votes=votes, bot_votes=bot_votes)
-            _assert_matches_scalar(exact_fuse_from_votes(fixture, prune=prune),
+            _assert_matches_scalar(exact_fuse_from_votes(fixture),
                                    scalar_exact_from_votes(fixture, prune))
 
 

@@ -96,11 +96,16 @@ class TestLoadClaims:
         path.write_text("<claims/>")
         with pytest.raises(ParseError, match="format"):
             mio.load_claims(path)
-        # explicit format overrides detection
-        path2 = tmp_path / "data.txt"
-        path2.write_text('{"source": "s1", "item": "d1", "value": "a"}\n')
-        dataset, _ = mio.load_claims(path2, fmt="jsonl")
-        assert "d1" in dataset
+
+    def test_suffix_alone_decides_the_format(self, tmp_path):
+        # JSONL content under a suffix that names no format is refused,
+        # and the error lists the suffixes that do
+        path = tmp_path / "data.txt"
+        path.write_text('{"source": "s1", "item": "d1", "value": "a"}\n')
+        with pytest.raises(ParseError) as caught:
+            mio.load_claims(path)
+        assert "'data.txt'" in str(caught.value)
+        assert ".csv" in str(caught.value) and ".jsonl" in str(caught.value)
 
 
 class TestGold:

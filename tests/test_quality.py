@@ -153,7 +153,7 @@ class TestIterate:
         assert qualities["s1"] == cfg.init_quality
 
     def test_converges_and_stops_early(self, small_dataset):
-        cfg = IterationConfig(max_iterations=50, tolerance=1e-3)
+        cfg = IterationConfig(max_iterations=50)
         _, _, records = iterate(small_dataset, self._prior(),
                                 fusion_backend("hybrid"), cfg)
         assert max(r.iteration for r in records) < 50
