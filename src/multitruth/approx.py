@@ -13,8 +13,10 @@ family's limit and the threshold `verify_bound` enforces, not a guarantee.
 Votes are built in the log domain, as sums of per-source log terms taken
 in source order, so no source count overflows them.  `approx_fuse` runs
 one item through the step loop on weights shifted by the item's largest
-vote; `approx_fuse_dataset` runs every item of a `ClaimIndex` at once on
-arrays, with log-sum-exp denominators, and is what `iterate` uses.
+vote; `approx_fuse_round` runs every item of a `ClaimIndex` at once on
+arrays, with log-sum-exp denominators, and is what `iterate` uses: it
+returns the probabilities as one array, and builds the result objects
+only when asked (`approx_fuse_dataset`).
 `vote_count`, `bot_vote_count` and `fixture_from_qualities` build the
 same votes as linear-domain products, an independent reference that
 `approx_fuse_from_votes` runs through the scalar step loop.
@@ -23,6 +25,7 @@ same votes as linear-domain products, an independent reference that
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -221,7 +224,53 @@ def approx_fuse_dataset(index: ClaimIndex, qualities: Mapping[Any, SourceQuality
                         prior: PriorConfig,
                         active: Optional[Iterable[Any]] = None) -> Dict[Any, FusionResult]:
     """`approx_fuse` on every item of the index, with only the `active`
-    sources (all if None) contributing.
+    sources (all if None) contributing: the results of
+    `approx_fuse_round`."""
+    return approx_fuse_round(index, qualities, prior, active).results()
+
+
+@dataclass(frozen=True, eq=False)
+class ApproxRound:
+    """One dataset pass of the approximation, as arrays over the index:
+    every candidate's probability in candidate order (`index.tokens`), the
+    candidates of each item in vote order, each item's number of selected
+    truths and termination step, and each item's stop votes up to that
+    step, item after item."""
+
+    index: ClaimIndex
+    probabilities: np.ndarray
+    ranked: np.ndarray
+    n_selected: np.ndarray
+    last: np.ndarray
+    bots: np.ndarray
+
+    def results(self) -> Dict[Any, FusionResult]:
+        """Every item's `FusionResult`, its probabilities in vote order.
+        Each item takes slices of flat lists of the candidates in vote
+        order and of the stop votes."""
+        index, tokens = self.index, self.index.tokens
+        ranked = [tokens[g] for g in self.ranked.tolist()]
+        probs, bots = self.probabilities[self.ranked].tolist(), self.bots.tolist()
+        results: Dict[Any, FusionResult] = {}
+        a = b = 0
+        for d, (m, k, t) in enumerate(zip(index.cand_count.tolist(), self.n_selected.tolist(),
+                                          self.last.tolist())):
+            values = ranked[a:a + m]
+            results[index.items[d]] = FusionResult(
+                item_id=index.item_ids[d],
+                probabilities=dict(zip(values, probs[a:a + m])),
+                selected_truths=values[:k],
+                diagnostics=FusionDiagnostics(method="hybrid", bot_votes=bots[b:b + t],
+                                              termination_step=t),
+            )
+            a += m
+            b += t
+        return results
+
+
+def approx_fuse_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
+                      prior: PriorConfig, active: Optional[Iterable[Any]] = None) -> ApproxRound:
+    """The dataset pass of `approx_fuse_dataset`, as arrays.
 
     One pass: each quality is clamped once, the log votes and log stop
     votes are sums over the claim arrays in source order, and the step
@@ -244,29 +293,9 @@ def approx_fuse_dataset(index: ClaimIndex, qualities: Mapping[Any, SourceQuality
               for lo, hi in _blocks(index.cand_count)]
     ranked, probs, n_selected, last, bots = (np.concatenate(parts) for parts in zip(*blocks))
     del blocks
-
-    # the result objects are made only after the block arrays are freed,
-    # which keeps them from fragmenting the heap between the arrays (about
-    # 1 MB of peak memory on 1000 items); each item takes slices of flat
-    # lists of the candidates in vote order and of the stop votes
-    tokens = index.tokens
-    ranked = [tokens[g] for g in ranked.tolist()]
-    probs, bots = probs.tolist(), bots.tolist()
-    results: Dict[Any, FusionResult] = {}
-    a = b = 0
-    for d, (m, k, t) in enumerate(zip(index.cand_count.tolist(), n_selected.tolist(),
-                                      last.tolist())):
-        values = ranked[a:a + m]
-        results[index.items[d]] = FusionResult(
-            item_id=index.item_ids[d],
-            probabilities=dict(zip(values, probs[a:a + m])),
-            selected_truths=values[:k],
-            diagnostics=FusionDiagnostics(method="hybrid", bot_votes=bots[b:b + t],
-                                          termination_step=t),
-        )
-        a += m
-        b += t
-    return results
+    probabilities = np.empty(len(probs))
+    probabilities[ranked] = probs
+    return ApproxRound(index, probabilities, ranked, n_selected, last, bots)
 
 
 def _blocks(cand_count: np.ndarray):

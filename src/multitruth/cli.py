@@ -66,7 +66,7 @@ def _load_run_config(path, method: str):
         )
         iter_cfg = IterationConfig(
             init_quality=init_quality,
-            max_iterations=int(raw.get("max_iterations", defaults.max_iterations)),
+            max_iterations=raw.get("max_iterations", defaults.max_iterations),
             accuracy_mode=raw.get("accuracy_mode", defaults.accuracy_mode))
     except (AttributeError, TypeError, ValueError) as exc:  # also a value of the wrong type
         raise click.UsageError(f"invalid config: {exc}")

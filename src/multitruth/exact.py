@@ -15,17 +15,20 @@ call overrides.  Serves as the oracle for the quadratic approximation.
 Subsets of one size do not depend on each other, so `_enumerate` runs
 the DP in layers: layer k holds every live (item, subset of k values)
 state of many items as flat arrays, and expands them all with a few
-array operations.  `exact_fuse_dataset` runs it over every item of a
+array operations.  `exact_fuse_round` runs it over every item of a
 `ClaimIndex`, which is what `iterate` uses: each source's log-likelihood
 cells depend only on its quality and on how many values it provides, so
 the pass fills them once per (source, provided count) and every item
-shares them.  `exact_fuse` is that pass on a one-item index, and
-`exact_fuse_from_votes` runs the same layers on injected vote counts.
+shares them.  It returns the probabilities as one array, and builds the
+result objects only when asked (`exact_fuse_dataset`).  `exact_fuse` is
+that pass on a one-item index, and `exact_fuse_from_votes` runs the same
+layers on injected vote counts.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -283,7 +286,39 @@ def exact_fuse_dataset(index: ClaimIndex, qualities: Mapping[Any, SourceQuality]
                        prior: PriorConfig,
                        active: Optional[Iterable[Any]] = None) -> Dict[Any, FusionResult]:
     """`exact_fuse` on every item of the index, with only the `active`
-    sources (all if None) contributing.
+    sources (all if None) contributing: the results of
+    `exact_fuse_round`."""
+    return exact_fuse_round(index, qualities, prior, active).results()
+
+
+@dataclass(frozen=True, eq=False)
+class ExactRound:
+    """One dataset pass of the exact engine: every candidate's
+    probability, in candidate order (`index.tokens`)."""
+
+    index: ClaimIndex
+    probabilities: np.ndarray
+
+    def results(self) -> Dict[Any, FusionResult]:
+        """Every item's `FusionResult`, its probabilities in token order;
+        values with probability above 0.5 are selected."""
+        index, probs = self.index, self.probabilities.tolist()
+        bounds = index.cand_start.tolist()
+        results: Dict[Any, FusionResult] = {}
+        for d, (c0, c1) in enumerate(zip(bounds, bounds[1:])):
+            probabilities = dict(zip(index.tokens[c0:c1], probs[c0:c1]))
+            results[index.items[d]] = FusionResult(
+                item_id=index.item_ids[d],
+                probabilities=probabilities,
+                selected_truths=_select(probabilities),
+                diagnostics=FusionDiagnostics(method="hybrid-exact"),
+            )
+        return results
+
+
+def exact_fuse_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
+                     prior: PriorConfig, active: Optional[Iterable[Any]] = None) -> ExactRound:
+    """The dataset pass of `exact_fuse_dataset`, as an array.
 
     Every item's candidate count is checked against CANDIDATE_CAP before any
     item is enumerated.  Each source's category log-probabilities are
@@ -300,7 +335,7 @@ def exact_fuse_dataset(index: ClaimIndex, qualities: Mapping[Any, SourceQuality]
                 f"instance too large for exact enumeration ({m} candidates "
                 f"> cap {CANDIDATE_CAP}); use the approximation")
     if not len(index):
-        return {}
+        return ExactRound(index, np.zeros(0))
     on = index.source_mask(active)
     log_probs = [category_log_probs(category_probs(quality_of(qualities, s), prior.n))
                  if is_on else None for s, is_on in zip(index.sources, on)]
@@ -339,18 +374,7 @@ def exact_fuse_dataset(index: ClaimIndex, qualities: Mapping[Any, SourceQuality]
         if bad is not None:
             raise _degenerate(index.item_ids[lo + bad])
         totals[cand_start[lo]:cand_start[hi]] = block
-
-    probs, tokens = totals.tolist(), index.tokens
-    results: Dict[Any, FusionResult] = {}
-    for d, (c0, c1) in enumerate(zip(cand_start, cand_start[1:])):
-        probabilities = dict(zip(tokens[c0:c1], probs[c0:c1]))
-        results[index.items[d]] = FusionResult(
-            item_id=index.item_ids[d],
-            probabilities=probabilities,
-            selected_truths=_select(probabilities),
-            diagnostics=FusionDiagnostics(method="hybrid-exact"),
-        )
-    return results
+    return ExactRound(index, totals)
 
 
 def _blocks(cand_count: np.ndarray, n_pairs: np.ndarray):

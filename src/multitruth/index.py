@@ -1,13 +1,14 @@
 """Flat, array-backed index of a dataset's claims.
 
 `iterate` builds one per run and drives both halves of its loop from it:
-the dataset-level passes of the engines (`approx.approx_fuse_dataset`,
-`exact.exact_fuse_dataset`) and the quality update
-(`quality.source_metrics`).  Everything is laid out in a
-fixed order -- items, sources and each item's candidates sorted by their
-`str`, and each (item, source) pair's values in candidate order -- so
-every sum over these arrays runs in an order that does not depend on the
-hash seed.
+the dataset passes of the engines (`approx.approx_fuse_round`,
+`exact.exact_fuse_round`), which hand back every candidate's probability
+as one float array in candidate order, and the quality update
+(`quality.source_metrics`), which reads that array.  Everything is laid
+out in a fixed order -- items, sources and each item's candidates sorted
+by their `str`, and each (item, source) pair's values in candidate
+order -- so every sum over these arrays runs in an order that does not
+depend on the hash seed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Any, List, Mapping
 
 import numpy as np
 
-from .model import ClaimSet
+from .model import ClaimSet, FusionResult
 
 
 class ClaimIndex:
@@ -81,3 +82,13 @@ class ClaimIndex:
         if active is None:
             return np.ones(len(self.sources), dtype=bool)
         return np.array([s in active for s in self.sources], dtype=bool)
+
+    def candidate_probabilities(self, results: Mapping[Any, FusionResult]) -> np.ndarray:
+        """Each candidate's probability in `results` (item -> result), in
+        candidate order; 0 where an item's result leaves a candidate out."""
+        probs: List[float] = []
+        bounds = self.cand_start.tolist()
+        for d, item in enumerate(self.items):
+            get = results[item].probabilities.get
+            probs.extend(get(v, 0.0) for v in self.tokens[bounds[d]:bounds[d + 1]])
+        return np.array(probs, dtype=float)

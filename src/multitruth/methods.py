@@ -6,9 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .approx import approx_fuse, approx_fuse_dataset
+from .approx import approx_fuse, approx_fuse_round
 from .baselines import accu_fuse, majority_vote, precrec_fuse, twostep_fuse
-from .exact import exact_fuse, exact_fuse_dataset
+from .exact import exact_fuse, exact_fuse_round
 from .quality import FusionBackend, IterationConfig
 
 
@@ -16,7 +16,10 @@ from .quality import FusionBackend, IterationConfig
 class DatasetBackend:
     """An engine with a dataset pass: called on one item it runs
     `fuse_item`, and `iterate` calls `fuse_dataset(index, qualities,
-    prior, active)` to fuse a whole dataset at once."""
+    prior, active)` to fuse a whole dataset at once.  That returns the
+    engine's round: `probabilities`, one float array over the index's
+    candidates, and `results()`, which builds every item's
+    `FusionResult`."""
 
     fuse_item: Callable
     fuse_dataset: Callable
@@ -34,9 +37,9 @@ def _majority(claims, qualities, prior):
 
 
 FUSION_BACKENDS: dict[str, FusionBackend] = {
-    "hybrid": DatasetBackend(approx_fuse, approx_fuse_dataset),
+    "hybrid": DatasetBackend(approx_fuse, approx_fuse_round),
     # on the qualities `iterate` clamps once per round
-    "hybrid-exact": DatasetBackend(exact_fuse, exact_fuse_dataset),
+    "hybrid-exact": DatasetBackend(exact_fuse, exact_fuse_round),
     "accu": _accu,
     "precrec": precrec_fuse,
     "twostep": twostep_fuse,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import unicodedata
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -174,6 +175,8 @@ class PriorConfig:
     prior_mode: str = "literal"
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"false-domain size n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError("false-domain size n must be >= 1")
         if not 0.0 < self.alpha < 1.0:

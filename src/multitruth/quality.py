@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -21,35 +22,37 @@ from .model import ClaimSet, FusionResult, PriorConfig, SourceQuality, derive_q
 log = logging.getLogger(__name__)
 
 # A backend fuses one item.  It may also offer a dataset-level entry,
-# `fuse_dataset(index, qualities, prior, active)`, returning every item's
-# result at once; `iterate` then calls that instead.
+# `fuse_dataset(index, qualities, prior, active)`, returning a round of
+# every item at once: `probabilities`, one float array in the index's
+# candidate order, and `results()`, every item's result.  `iterate` then
+# calls that instead.
 FusionBackend = Callable[[ClaimSet, Mapping[Any, SourceQuality], PriorConfig], FusionResult]
 
 # `iterate` stops once no quality field moves more than this in a round
 TOLERANCE = 1e-4
 
 
-def source_metrics(index: ClaimIndex, results: Mapping[Any, FusionResult],
+def source_metrics(index: ClaimIndex, probabilities: np.ndarray,
                    accuracy_mode: str = "per-item") -> Tuple[List[float], List[float], List[float]]:
     """Precision, recall and accuracy of every source of the index, in its
     source order, from one pass over the pairs and claims.
 
-    An item's truth mass is the exactly rounded sum of its probabilities,
-    and every other sum runs in index order, so the estimates do not
-    depend on the order of any dict or set.  Accuracy is nan where it is
-    undefined: a covered item with no truth mass ("per-item"), or zero
-    precision ("literal").
+    `probabilities` holds every candidate's probability in the index's
+    candidate order: a round's array, or `index.candidate_probabilities`
+    of a dict of results.  An item's truth mass is the exactly rounded sum
+    of its probabilities, and every other sum runs in index order, so the
+    estimates do not depend on the order of any dict or set.  Accuracy is
+    nan where it is undefined: a covered item with no truth mass
+    ("per-item"), or zero precision ("literal").
     """
     if accuracy_mode not in ("per-item", "literal"):
         raise ValueError(f"unknown accuracy mode {accuracy_mode!r}")
-    mass = np.empty(len(index))
-    p: List[float] = []
+    # one item's floats at a time: a list of every candidate's float
+    # raised the peak memory of a `fuse_hybrid` benchmark run
     bounds = index.cand_start.tolist()
-    for d, item in enumerate(index.items):
-        probs = results[item].probabilities
-        mass[d] = math.fsum(probs.values())
-        p.extend(probs.get(v, 0.0) for v in index.tokens[bounds[d]:bounds[d + 1]])
-    value_mass = np.bincount(index.claim_pair, weights=np.array(p)[index.claim_cand],
+    mass = np.array([math.fsum(probabilities[a:b].tolist())
+                     for a, b in zip(bounds, bounds[1:])], dtype=float)
+    value_mass = np.bincount(index.claim_pair, weights=probabilities[index.claim_cand],
                              minlength=len(index.pair_item))
 
     n_sources = len(index.sources)
@@ -73,10 +76,14 @@ def source_metrics(index: ClaimIndex, results: Mapping[Any, FusionResult],
 def _source_metric(source: Any, dataset: Mapping[Any, ClaimSet],
                    results: Mapping[Any, FusionResult], which: int,
                    mode: str = "per-item") -> float:
-    index = ClaimIndex(dataset)
+    # a result may give probability to values no source provides; they
+    # join the candidates, so each item's truth mass keeps them
+    index = ClaimIndex({d: replace(cs, candidates=cs.candidates.union(results[d].probabilities))
+                        for d, cs in dataset.items()})
     if source not in index.sources:
         raise ValueError(f"source {source!r} provides no item")
-    value = source_metrics(index, results, mode)[which][index.sources.index(source)]
+    probabilities = index.candidate_probabilities(results)
+    value = source_metrics(index, probabilities, mode)[which][index.sources.index(source)]
     if math.isnan(value):
         raise ValueError(f"accuracy undefined for zero-precision source {source!r}")
     return value
@@ -137,6 +144,9 @@ class IterationConfig:
     update_slot_metrics: bool = True
 
     def __post_init__(self):
+        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations,
+                                                                   numbers.Integral):
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 0:
             raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
         if self.accuracy_mode not in ("per-item", "literal"):
@@ -154,15 +164,30 @@ class IterationRecord:
     good: bool
 
 
+class _ItemRound:
+    """A round fused item by item: its results, and their probabilities
+    read back in the index's candidate order."""
+
+    def __init__(self, index: ClaimIndex, results: Dict[Any, FusionResult]):
+        self.probabilities = index.candidate_probabilities(results)
+        self._results = results
+
+    def results(self) -> Dict[Any, FusionResult]:
+        return self._results
+
+
 def _fuse_all(dataset: Mapping[Any, ClaimSet], index: ClaimIndex,
               qualities: Mapping[Any, SourceQuality], prior: PriorConfig,
-              fusion: FusionBackend, active: Optional[set]) -> Dict[Any, FusionResult]:
+              fusion: FusionBackend, active: Optional[set]):
+    """One fusion round of every item: the backend's dataset pass if it
+    has one, otherwise its per-item calls."""
     fuse_dataset = getattr(fusion, "fuse_dataset", None)
     if fuse_dataset is not None:
         return fuse_dataset(index, qualities, prior, active)
-    return {item: fusion(dataset[item] if active is None else dataset[item].restrict(active),
-                         qualities, prior)
-            for item in index.items}
+    return _ItemRound(index, {
+        item: fusion(dataset[item] if active is None else dataset[item].restrict(active),
+                     qualities, prior)
+        for item in index.items})
 
 
 def iterate(dataset: Mapping[Any, ClaimSet], prior: PriorConfig,
@@ -176,10 +201,12 @@ def iterate(dataset: Mapping[Any, ClaimSet], prior: PriorConfig,
     iteration.  Stops at `max_iterations` or when no quality moves more
     than TOLERANCE.  With max_iterations=0 this is a single fusion
     pass at the initial qualities.  Both halves of the loop run on one
-    `ClaimIndex` of the dataset.  Each round clamps every quality once and
-    fuses on the clamped copies; the qualities returned are unclamped.  A
-    source whose accuracy is undefined in a round (see `source_metrics`)
-    keeps its previous accuracy, with a warning.
+    `ClaimIndex` of the dataset: a fusion round hands the quality update
+    one array of candidate probabilities, and the result objects are
+    built once, from the last round only.  Each round clamps every
+    quality once and fuses on the clamped copies; the qualities returned
+    are unclamped.  A source whose accuracy is undefined in a round (see
+    `source_metrics`) keeps its previous accuracy, with a warning.
     """
     if not dataset:
         raise ValueError("empty dataset")
@@ -189,13 +216,14 @@ def iterate(dataset: Mapping[Any, ClaimSet], prior: PriorConfig,
     clamped = dict.fromkeys(sources, config.init_quality.clamped())
     records: List[IterationRecord] = []
 
-    results = _fuse_all(dataset, index, clamped, prior, fusion, None)
+    fused = _fuse_all(dataset, index, clamped, prior, fusion, None)
     for it in range(1, config.max_iterations + 1):
         new_qualities: Dict[Any, SourceQuality] = {}
         clamped = {}
         delta = 0.0
         good_sources = set()
-        precisions, recalls, accuracies = source_metrics(index, results, config.accuracy_mode)
+        precisions, recalls, accuracies = source_metrics(index, fused.probabilities,
+                                                         config.accuracy_mode)
         for s, p, r, a in zip(sources, precisions, recalls, accuracies):
             old = qualities[s]
             if math.isnan(a):
@@ -218,12 +246,12 @@ def iterate(dataset: Mapping[Any, ClaimSet], prior: PriorConfig,
                 good_sources.add(s)
             new_qualities[s] = nq
         qualities = new_qualities
-        del results  # only the next fusion's results are needed from here
+        del fused  # only the next round is needed from here
         if not good_sources:
             log.warning("no source passes the good-source test at iteration %d; "
                         "fusing with all sources", it)
-        results = _fuse_all(dataset, index, clamped, prior, fusion, good_sources or None)
+        fused = _fuse_all(dataset, index, clamped, prior, fusion, good_sources or None)
         if delta < TOLERANCE:
             log.debug("quality iteration converged at step %d (delta %.2g)", it, delta)
             break
-    return results, qualities, records
+    return fused.results(), qualities, records

@@ -57,3 +57,35 @@ def test_traced_exact_iterate_equals_the_plain_run(Tracer):
     assert tracer.counts["engine"] == len(dataset) * (max(r.iteration for r in plain[2]) + 1)
     # some round left a source out, so the per-item path restricted items
     assert any(not r.good for r in plain[2])
+
+
+def test_traced_hybrid_iterate_agrees_with_the_plain_run(Tracer):
+    # through the tracer's wrapper `iterate` fuses item by item with
+    # `approx_fuse`, which scales the votes by each item's largest, while
+    # the plain backend runs the array pass in the log domain: the two
+    # agree to rounding, not to the last bit
+    cfg = synth.SynthConfig(num_items=60, rng_seed=1)
+    claims = synth.generate(cfg)[0]
+    claims += [("junk", item, "junk") for item in sorted({c.item_id for c in claims})]
+    dataset = model.claims_by_item(claims)
+    prior = model.PriorConfig(n=10, alpha=0.25,
+                              truth_count_dist=synth.truth_count_distribution(cfg))
+    backend = synth.fusion_backend("hybrid")
+    traced = Tracer().engine("hybrid", backend)
+    assert not hasattr(traced, "fuse_dataset")
+    plain, plain_qualities, plain_records = quality.iterate(dataset, prior, backend)
+    per_item, per_item_qualities, per_item_records = quality.iterate(dataset, prior, traced)
+    assert plain.keys() == per_item.keys()
+    for item, want in plain.items():
+        got = per_item[item]
+        assert got.probabilities.keys() == want.probabilities.keys()
+        for v, p in want.probabilities.items():
+            assert got.probabilities[v] == pytest.approx(p, rel=0, abs=1e-12)
+        assert got.selected_truths == want.selected_truths
+        assert got.diagnostics.termination_step == want.diagnostics.termination_step
+    assert [(r.iteration, r.source, r.good) for r in per_item_records] == [
+        (r.iteration, r.source, r.good) for r in plain_records]
+    for s, q in plain_qualities.items():
+        assert per_item_qualities[s].accuracy == pytest.approx(q.accuracy, rel=0, abs=1e-12)
+    # some round left a source out, so the per-item path restricted items
+    assert any(not r.good for r in plain_records)

@@ -402,6 +402,30 @@ class TestBadCountsRefused:
         assert "Traceback" not in result.stderr
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("config, message", [
+        ({"max_iterations": 2.7}, "max_iterations must be an integer, got 2.7"),
+        ({"max_iterations": True}, "max_iterations must be an integer, got True"),
+        ({"n": 2.5}, "false-domain size n must be an integer, got 2.5"),
+    ], ids=["fractional-iterations", "bool-iterations", "fractional-n"])
+    def test_run_config_of_the_wrong_type(self, runner, tmp_path, config, message):
+        # these once ran 2 rounds, 1 round, and a false-domain size of 2.5
+        claims = tmp_path / "claims.csv"
+        claims.write_text("source_id,item_id,value\ns1,d1,a\n")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        result = runner.invoke(main, ["fuse", "--method", "hybrid", "--claims", str(claims),
+                                      "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert f"invalid config: {message}" in result.output
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_wrong_types_in_the_library(self):
+        for bad in (2.5, True, "3"):
+            with pytest.raises(ValueError, match="max_iterations must be an integer"):
+                IterationConfig(max_iterations=bad)
+            with pytest.raises(ValueError, match="n must be an integer"):
+                PriorConfig(n=bad)
+
     def test_library(self):
         with pytest.raises(ValueError, match="repetitions must be >= 1"):
             compare(["majority"], SynthConfig(), repetitions=0)

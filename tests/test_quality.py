@@ -24,6 +24,7 @@ from multitruth import (
     update_precision,
     update_recall,
 )
+from multitruth import approx, exact
 from multitruth.index import ClaimIndex
 from multitruth.methods import fusion_backend
 from multitruth.model import FusionDiagnostics, claims_by_item, Claim
@@ -259,7 +260,7 @@ class TestSourceMetrics:
                 results[d] = _result(d, probs)
             index = ClaimIndex(dataset)
             for mode in ("per-item", "literal"):
-                got = source_metrics(index, results, mode)
+                got = source_metrics(index, index.candidate_probabilities(results), mode)
                 for j, s in enumerate(index.sources):
                     want = _scan(s, dataset, results, mode)
                     for g, w in zip((got[0][j], got[1][j], got[2][j]), want):
@@ -278,25 +279,64 @@ from multitruth import PriorConfig, claims_by_item, iterate
 from multitruth.methods import fusion_backend
 from multitruth.synth import SynthConfig, generate, truth_count_distribution
 
-cfg = SynthConfig(num_items=200, rng_seed=5)
+cfg = SynthConfig({config})
 claims, _ = generate(cfg)
 prior = PriorConfig(n=10, alpha=0.25, truth_count_dist=truth_count_distribution(cfg))
-results, qualities, _ = iterate(claims_by_item(claims), prior, fusion_backend("hybrid"))
+results, qualities, _ = iterate(claims_by_item(claims), prior, fusion_backend({method!r}))
 print(repr(results))
 print(repr(qualities))
 """
 
 
-def test_iterate_independent_of_hash_seed():
-    # set and frozenset iteration order follows the per-process hash seed;
-    # a float sum taken in that order changes in the last digits
+def _iterate_under_hash_seeds(config, method):
+    """The script's output under hash seeds 0 and 3."""
     src = str(Path(multitruth.__file__).resolve().parents[1])
+    script = HASH_SEED_SCRIPT.format(config=config, method=method)
     outputs = []
     for hash_seed in ("0", "3"):
         env = {**os.environ, "PYTHONHASHSEED": hash_seed,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT], env=env,
+        done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120, check=True)
         outputs.append(done.stdout)
+    return outputs
+
+
+def test_iterate_independent_of_hash_seed():
+    # set and frozenset iteration order follows the per-process hash seed;
+    # a float sum taken in that order changes in the last digits
+    outputs = _iterate_under_hash_seeds("num_items=200, rng_seed=5", "hybrid")
     assert outputs[0] == outputs[1]
     assert outputs[0].count("FusionResult(") == 200
+
+
+def test_exact_iterate_independent_of_hash_seed():
+    # items shaped like the exact engine's benchmark: at most 2 truths and
+    # 4 false values, so at most 6 candidates
+    outputs = _iterate_under_hash_seeds(
+        "num_items=150, truth_count_max=2, false_domain_size=4, extra_ratio=0.6, "
+        "source_accuracy=0.9, source_recall=0.9, rng_seed=1", "hybrid-exact")
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("FusionResult(") == 150
+
+
+@pytest.mark.parametrize("method, engine", [("hybrid", approx), ("hybrid-exact", exact)],
+                         ids=["hybrid", "hybrid-exact"])
+def test_iterate_builds_each_result_once(monkeypatch, method, engine):
+    # a round hands the quality update an array; only the last round's
+    # results become objects
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(kwargs["item_id"])
+        return FusionResult(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "FusionResult", counted)
+    cfg = SynthConfig(num_items=40, truth_count_max=2, false_domain_size=4, extra_ratio=0.6,
+                      rng_seed=3)
+    dataset = claims_by_item(generate(cfg)[0])
+    prior = PriorConfig(n=10, alpha=0.25, truth_count_dist=truth_count_distribution(cfg))
+    results, _, records = iterate(dataset, prior, fusion_backend(method))
+    assert max(r.iteration for r in records) > 1
+    assert sorted(built) == sorted(r.item_id for r in results.values())
+    assert len(built) == len(dataset)
