@@ -27,7 +27,7 @@ def majority_vote(claims: ClaimSet) -> FusionResult:
     """Single truth = the value with the most providers; the reported
     per-value numbers are provider counts scaled by the winner's count
     (diagnostic only, not calibrated; all 1 when no source is active)."""
-    counts = dict.fromkeys(claims.candidates, 0)
+    counts = dict.fromkeys(sorted(claims.candidates, key=str), 0)
     for values in claims.per_source.values():
         for v in values:
             counts[v] += 1
@@ -51,7 +51,7 @@ def _accuracy_votes(claims: ClaimSet, qualities: Mapping[Any, SourceQuality], n:
     """Each value's vote: the sum of log n*A/(1-A) over its providers, in
     source order, exponentiated after a shift by the largest, so that no
     number of sources overflows it."""
-    log_votes = dict.fromkeys(claims.candidates, 0.0)
+    log_votes = dict.fromkeys(sorted(claims.candidates, key=str), 0.0)
     for s in sorted(claims.per_source, key=str):
         a = clamp(quality_of(qualities, s).accuracy)
         term = math.log(n * a / (1.0 - a))
@@ -89,7 +89,7 @@ def precrec_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
         terms.append((values, r / fp, (1.0 - r) / (1.0 - fp)))
     prior_odds = prior.alpha / (1.0 - prior.alpha)
     probabilities = {}
-    for v in claims.candidates:
+    for v in sorted(claims.candidates, key=str):
         odds = prior_odds
         for values, provided, abstained in terms:
             odds *= provided if v in values else abstained

@@ -184,7 +184,7 @@ def _run_compare(methods, reps, grid, seed, threads, out):
 @click.option("--grid", "grid_spec", default=None,
               help="Parameter sweep, e.g. source_accuracy=0.2,0.4,0.6.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--threads", type=click.IntRange(min=1), default=None)
+@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out", required=True, help="Report CSV to write.")
 def compare_cmd(methods, reps, grid_spec, seed, threads, out):
     """Benchmark methods on synthetic data and write a report table."""
@@ -207,7 +207,7 @@ _SWEEPS = {
               show_default=True, help="Comma-separated method names.")
 @click.option("--reps", type=click.IntRange(min=1), default=20, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--threads", type=click.IntRange(min=1), default=None)
+@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out", required=True, help="Report CSV to write.")
 def sweep(figure, methods, reps, seed, threads, out):
     """Run one of the canned benchmark parameter sweeps."""

@@ -18,11 +18,12 @@ state of many items as flat arrays, and expands them all with a few
 array operations.  `exact_fuse_round` runs it over every item of a
 `ClaimIndex`, which is what `iterate` uses: each source's log-likelihood
 cells depend only on its quality and on how many values it provides, so
-the pass fills them once per (source, provided count) and every item
-shares them.  It returns the probabilities as one array, and builds the
-result objects only when asked (`exact_fuse_dataset`).  `exact_fuse` is
-that pass on a one-item index, and `exact_fuse_from_votes` runs the same
-layers on injected vote counts.
+the pass computes them once per (source, provided count), into one
+array sized by the pass, and every item reads from it.  It returns the
+probabilities as one array, and builds the result objects only when
+asked (`exact_fuse_dataset`).  `exact_fuse` is that pass on a one-item
+index, and `exact_fuse_from_votes` runs the same layers on injected vote
+counts.
 """
 
 from __future__ import annotations
@@ -37,10 +38,8 @@ from .errors import DegenerateEvidenceError, InstanceTooLargeError
 from .index import ClaimIndex
 from .likelihood import (
     LOG_ZERO,
-    category_counts,
     category_log_probs,
     category_probs,
-    counts_likelihood,
     source_likelihood,
 )
 from .model import (
@@ -216,59 +215,6 @@ def _enumerate(cand_count: np.ndarray, cond: Conditional) -> Tuple[np.ndarray, O
     return totals, (int(first[0]) if first.size else None)
 
 
-class _SourceCells(dict):
-    """A source's log-likelihood depends on the hypothesis only through the
-    selected count k, the count c of selected values the source provides,
-    and whether the candidate is a value it provides, one it does not, or
-    BOTTOM.  Maps (k, c) to those three log-likelihoods (None where no
-    provided value is left to be the candidate), each computed on first
-    use: pruned enumeration reaches only a few (k, c) pairs.  Nothing in
-    a cell depends on the item, so `exact_fuse_dataset` keeps one table
-    per (source, provided count) for a whole pass."""
-
-    def __init__(self, log_probs: Sequence[float], n_provided: int):
-        super().__init__()
-        self.log_probs = log_probs
-        self.n_provided = n_provided
-
-    def __missing__(self, key):
-        k, c = key
-        p, log_probs = self.n_provided, self.log_probs
-        cell = self[key] = (
-            counts_likelihood(category_counts(k + 1, p, c + 1), log_probs, False)
-            if c < p else None,
-            counts_likelihood(category_counts(k + 1, p, c), log_probs, False),
-            counts_likelihood(category_counts(k, p, c), log_probs, True))
-        return cell
-
-
-class _PriorCells(dict):
-    """The log priors of an item with m candidates as cells of a source
-    that provides nothing: (k, 0) maps to the `_prior_logs` of an
-    unselected value, twice, and of BOTTOM."""
-
-    def __init__(self, prior: PriorConfig, m: int):
-        super().__init__()
-        self.prior = prior
-        self.m = m
-
-    def __missing__(self, key):
-        log_v_prior, log_beta = _prior_logs(self.m, self.prior, key[0])
-        cell = self[key] = (log_v_prior, log_v_prior, log_beta)
-        return cell
-
-
-class _NoCells(dict):
-    """The cells of a padding column: every log-likelihood is 0, which
-    adds nothing to a row's sum."""
-
-    def __missing__(self, key):
-        return (0.0, 0.0, 0.0)
-
-
-_NO_SOURCE = _NoCells()
-
-
 def _select(probabilities: Dict[Any, float]):
     return sort_values({v: p for v, p in probabilities.items() if p > 0.5})
 
@@ -322,10 +268,11 @@ def exact_fuse_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
 
     Every item's candidate count is checked against CANDIDATE_CAP before any
     item is enumerated.  Each source's category log-probabilities are
-    taken once, its cells are shared by every item where it provides the
-    same number of values, and the priors are cells shared by every item
-    with the same candidate count.  The provided bitmasks of the active
-    (item, source) pairs come straight from the index arrays.  Items run
+    taken once, and `_cells` computes one array of every cell the pass
+    can read: a table per (source, provided count) among the active
+    pairs, which every item where the source provides that many values
+    reads, and the priors by candidate count.  The provided bitmasks of
+    the active (item, source) pairs come straight from the index arrays.  Items run
     through `_enumerate` in blocks of at most BLOCK_CELLS cells, and a
     `DegenerateEvidenceError` names the first such item in index order."""
     counts = index.cand_count
@@ -337,12 +284,14 @@ def exact_fuse_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
     if not len(index):
         return ExactRound(index, np.zeros(0))
     on = index.source_mask(active)
-    log_probs = [category_log_probs(category_probs(quality_of(qualities, s), prior.n))
-                 if is_on else None for s, is_on in zip(index.sources, on)]
+    log_probs = np.zeros((len(index.sources), 5))
+    for s in np.flatnonzero(on).tolist():
+        log_probs[s] = category_log_probs(category_probs(
+            quality_of(qualities, index.sources[s]), prior.n))
 
     # the active pairs, item by item and in source order within an item,
     # each with the values it provides as a bitmask over its item's
-    # candidates, its column among them, and its cell table
+    # candidates, its column among them, and its table of cells
     claim_bit = index.claim_cand - index.cand_start[index.pair_item[index.claim_pair]]
     provided = np.add.reduceat(np.left_shift(1, claim_bit, dtype=np.int64),
                                np.cumsum(index.pair_size) - index.pair_size)
@@ -351,25 +300,22 @@ def exact_fuse_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
     n_pairs = np.bincount(pair_item, minlength=len(index))
     pair_at = np.concatenate(([0], np.cumsum(n_pairs)))
     column = np.arange(len(pairs)) - pair_at[pair_item]
-    # tables: the padding, one per (source, provided count) present, then
-    # the priors by candidate count
+    # one table per (source, provided count) present, after the padding
     sizes = int(counts.max()) + 1
     table_key = index.pair_source[pairs] * sizes + index.pair_size[pairs]
     present = np.zeros(len(index.sources) * sizes, dtype=bool)
     present[table_key] = True
     table_of = np.cumsum(present)[table_key]
-    tables: List[dict] = [_NO_SOURCE]
-    tables += [_SourceCells(log_probs[key // sizes], key % sizes)
-               for key in np.flatnonzero(present).tolist()]
-    prior_table = counts + len(tables)
-    tables += [_PriorCells(prior, m) for m in range(sizes)]
+    keys = np.flatnonzero(present)
+    cells = _cells(log_probs[keys // sizes], keys % sizes, prior, sizes - 1)
+    prior_table = counts + len(keys) + 1
 
     totals = np.empty(index.cand_start[-1])
     cand_start = index.cand_start.tolist()
     for lo, hi in _blocks(counts, n_pairs):
         a, b = pair_at[lo], pair_at[hi]
         cond = _likelihood_conditional(counts[lo:hi], pair_item[a:b] - lo, column[a:b],
-                                       provided[a:b], table_of[a:b], prior_table[lo:hi], tables)
+                                       provided[a:b], table_of[a:b], prior_table[lo:hi], cells)
         block, bad = _enumerate(counts[lo:hi], cond)
         if bad is not None:
             raise _degenerate(index.item_ids[lo + bad])
@@ -393,18 +339,63 @@ def _blocks(cand_count: np.ndarray, n_pairs: np.ndarray):
     yield lo, len(cand_count)
 
 
+def _cells(log_probs: np.ndarray, n_provided: np.ndarray, prior: PriorConfig,
+           widest: int) -> np.ndarray:
+    """Every log-likelihood cell a pass can read, indexed by (table, k,
+    kind, c): k selected values, c of them provided by the table's source,
+    and the kind of candidate, 0 for a value the source provides, 1 for
+    one it does not, 2 for BOTTOM.  k runs below `widest`, the most
+    candidates of an item, and c up to the largest of `n_provided`.
+
+    Table 0 is the padding, all zeros.  Table t + 1 holds a source with
+    `category_log_probs` row t of `log_probs` that provides `n_provided[t]`
+    values: each cell is `counts_likelihood(category_counts(...))`, taken
+    term by term in its order, so that every cell a state can read is the
+    same float.  Where `counts_likelihood` skips a zero count, the cell
+    adds 0.0, which leaves the sum as it is even at probability 0.  The
+    last `widest + 1` tables hold, for items of 0 to `widest` candidates,
+    the `_prior_logs` of an unselected value (kinds 0 and 1) and of BOTTOM
+    at c = 0.  Cells with c > k or c past the provided count are never
+    read; their counts can be negative, and only positive counts are
+    multiplied, so they raise no floating-point warning."""
+    kind = np.arange(3)[:, None]
+    # the hypothesized truths and the provided ones among them, by (k, kind, c)
+    truths = np.arange(widest)[:, None, None] + (kind < 2)
+    consistent = np.arange(int(n_provided.max(initial=0)) + 1) + (kind == 0)
+    cells = np.zeros((len(log_probs) + widest + 2, widest, 3, consistent.shape[1]))
+    for p in set(n_provided.tolist()):
+        tables = np.flatnonzero(n_provided == p)
+        log_p = log_probs[tables].T[:, :, None, None, None]
+        shown = np.minimum(truths, p)
+        # `category_counts(truths, p, consistent)`, category by category
+        counts = (consistent, shown - consistent, p - shown, truths - shown)
+        ll = np.zeros((len(tables),) + cells.shape[1:])
+        for count, category_log_p in zip(counts, log_p):
+            ll += np.multiply(count, category_log_p, out=np.zeros(ll.shape), where=count > 0)
+        # a BOTTOM that leaves no provided value extra adds log p_no_extra
+        np.add(ll, log_p[4], out=ll, where=(kind == 2) & (truths >= p))
+        cells[tables + 1] = ll
+    priors = np.array([[_prior_logs(m, prior, k) for k in range(widest)]
+                       for m in range(widest + 1)])
+    cells[-widest - 1:, :, :, 0] = priors[:, :, [0, 0, 1]]
+    return cells
+
+
 def _likelihood_conditional(cand_count: np.ndarray, pair_item: np.ndarray,
                             column: np.ndarray, provided: np.ndarray, table_of: np.ndarray,
-                            prior_table: np.ndarray, tables: List[dict]) -> Conditional:
+                            prior_table: np.ndarray, cells: np.ndarray) -> Conditional:
     """The row weights of a block of items for `_enumerate`: each row's
     log-likelihood plus log prior, exponentiated after a shift by its
     state's largest, so that no state underflows to all zeros.
 
     Each item's active pairs become columns in source order, padded with
-    columns that read `_NO_SOURCE`, and its prior is the last column.  A
-    row's log weight is one cell per column, added column after column,
-    which is the order `_normalise` sums in; padding adds exact zeros.
-    Arrays run column-major, so that each column is contiguous."""
+    columns that read table 0 of `cells` (see `_cells`), and its prior is
+    the last column.  A row reads one cell per column, at the column's
+    table, the layer's k, the row's kind and the state's count c of the
+    column's provided values; its log weight adds them column after
+    column, which is the order `_normalise` sums in, and padding adds
+    exact zeros.  Arrays run column-major, so that each column is
+    contiguous."""
     n, bits = len(cand_count), int(cand_count.max())
     width = int(column.max(initial=-1)) + 2
     prov = np.zeros((width, n), dtype=np.int64)
@@ -416,27 +407,20 @@ def _likelihood_conditional(cand_count: np.ndarray, pair_item: np.ndarray,
     # provides the candidate, 1 if not, 2 for BOTTOM
     kind = 1 - ((prov[:, :, None] >> np.arange(bits + 1)) & 1)
     kind[:, np.arange(n), cand_count] = 2
-    # a cell is keyed by (table, c); `log_lik` holds each kind of
-    # log-likelihood of every key in turn
-    stride = bits + 1
-    n_keys = len(tables) * stride
-    log_lik = np.zeros(3 * n_keys)
-    cell_of_key = log_lik.reshape(3, n_keys).T
-    tab *= stride
-    kind *= n_keys
+    # flat offsets into `cells`
+    _, n_k, n_kind, n_c = cells.shape
+    log_lik = cells.ravel()
+    tab *= n_k * n_kind * n_c
+    kind *= n_c
 
     def cond(k, item, mask, row_state, row_item, row_bit):
         key = tab[:, item] + _BIT_COUNTS[mask & prov[:, item]]
-        used = np.zeros(n_keys, dtype=bool)
-        used[key] = True
-        used = np.flatnonzero(used)
-        cell_of_key[used] = [tables[t][k, c] for t, c in zip((used // stride).tolist(),
-                                                            (used % stride).tolist())]
+        key += k * n_kind * n_c
         at = key[:, row_state]
         at += kind[:, row_item, row_bit]
-        cells = log_lik[at]
-        log_w = cells[0].copy()
-        for column_cells in cells[1:]:
+        row_cells = log_lik[at]
+        log_w = row_cells[0].copy()
+        for column_cells in row_cells[1:]:
             log_w += column_cells
         # from the lowest finite float, so a state whose log weights are
         # all -inf gets weights 0, not NaN

@@ -90,8 +90,8 @@ def _iter_claim_rows(path: Path, fmt: str):
                     if field is None or isinstance(field, (list, dict)):
                         raise ParseError(f"claims {name} must be a scalar, got "
                                          f"{json.dumps(field)} in {path}", line=line_no)
-                if normalize_value(value) == "":
-                    raise ParseError(f"empty claims value in {path}", line=line_no)
+                    if isinstance(field, str) and not field.strip():
+                        raise ParseError(f"empty claims {name} in {path}", line=line_no)
                 yield source, item, value
 
 

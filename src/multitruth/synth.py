@@ -195,12 +195,14 @@ def _run_rep(config: SynthConfig, methods: Sequence[str],
 
 def compare(methods: Sequence[str], config: SynthConfig,
             sweep: Optional[Mapping[str, Sequence[Any]]] = None, *,
-            repetitions: int, threads: Optional[int] = None) -> List[ComparisonRow]:
+            repetitions: int, threads: int = 1) -> List[ComparisonRow]:
     """Run every method over `repetitions` generated datasets (optionally
     at each point of a parameter sweep) and report mean metrics.
 
     Repetitions run with independent derived seeds, so results do not
-    depend on the thread count.
+    depend on the thread count.  One thread is the default: the work is
+    pure Python that holds the interpreter lock, so more threads only add
+    switching.
     """
     if not methods:
         raise ValueError("need at least one method")

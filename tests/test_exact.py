@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,12 +33,17 @@ from multitruth.exact import (
     PRUNE_THRESHOLD,
     _normalise,
     _prior_logs,
-    _SourceCells,
     conditional_distribution,
     exact_fuse_dataset,
 )
 from multitruth.index import ClaimIndex
-from multitruth.likelihood import category_log_probs, category_probs
+from multitruth.likelihood import (
+    category_counts,
+    category_log_probs,
+    category_probs,
+    counts_likelihood,
+    source_likelihood,
+)
 from multitruth.io import claims_by_item
 from multitruth.methods import fusion_backend
 from multitruth.synth import SynthConfig, generate, truth_count_distribution
@@ -415,6 +421,52 @@ class TestDatasetPass:
             exact_fuse_dataset(ClaimIndex({"d": hockey_claims}), qualities, hockey_prior)
 
 
+class TestCells:
+    """Every cell of `exact._cells` a state can read against the set-based
+    likelihood it stands for, compared with ==."""
+
+    @pytest.mark.parametrize("widest", [1, 6, 12])
+    def test_readable_cells_equal_the_reference(self, widest):
+        rng = np.random.default_rng(3000 + widest)
+        qualities, n_provided = [], []
+        for _ in range(60):
+            # a field at exactly 0 or 1 makes some log-probabilities -inf
+            qualities.append(SourceQuality(**{
+                name: float(rng.integers(0, 2)) if rng.random() < 0.2 else float(rng.random())
+                for name in ("accuracy", "recall", "false_positive_rate")}))
+            n_provided.append(int(rng.integers(1, widest + 1)))
+        n = int(rng.integers(1, 20))
+        probs = [category_probs(q, n) for q in qualities]
+        log_probs = [category_log_probs(pr) for pr in probs]
+        prior = PriorConfig(n=n, alpha=0.25, truth_count_dist={1: 0.3, 2: 0.3, 4: 0.4},
+                            prior_mode=("literal", "example-compatible")[widest % 2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = exact._cells(np.array(log_probs), np.array(n_provided), prior, widest)
+        assert cells.shape[:3] == (len(qualities) + widest + 2, widest, 3)
+        assert not cells[0].any()
+        assert np.isneginf(cells).any()
+        for t, (pr, lp, p) in enumerate(zip(probs, log_probs, n_provided)):
+            provided = [f"p{j}" for j in range(p)]
+            for k in range(widest):
+                for c in range(min(k, p) + 1):
+                    selected = provided[:c] + [f"o{j}" for j in range(k - c)]
+                    want = [counts_likelihood(category_counts(k + 1, p, c), lp, False),
+                            counts_likelihood(category_counts(k, p, c), lp, True)]
+                    assert want == [source_likelihood(provided, selected, f"o{k - c}", pr),
+                                    source_likelihood(provided, selected, BOTTOM, pr)]
+                    if c < p:
+                        want.insert(0, counts_likelihood(category_counts(k + 1, p, c + 1),
+                                                         lp, False))
+                        assert want[0] == source_likelihood(provided, selected, provided[c], pr)
+                    assert cells[t + 1, k, 3 - len(want):, c].tolist() == want
+        for m in range(widest + 1):
+            for k in range(widest):
+                log_v_prior, log_beta = _prior_logs(m, prior, k)
+                assert cells[m - widest - 1, k, :, 0].tolist() == [log_v_prior, log_v_prior,
+                                                                   log_beta]
+
+
 def scalar_enumerate(m, cond_of, prune):
     """Reference for the layered DP: the scalar subset DP it replaced.
     `cond_of(mask, remaining)` gives the conditional probability of each
@@ -442,7 +494,7 @@ def scalar_enumerate(m, cond_of, prune):
 
 def scalar_exact_fuse(claims, qualities, prior, prune):
     """One item through `scalar_enumerate`, each source's log-likelihood
-    read from its cells and summed in source order."""
+    taken from its category counts and summed in source order."""
     values = sorted(claims.candidates, key=str)
     m = len(values)
     bit = {v: j for j, v in enumerate(values)}
@@ -450,16 +502,16 @@ def scalar_exact_fuse(claims, qualities, prior, prune):
     for s in sorted(claims.per_source, key=str):
         provided = claims.per_source[s]
         log_probs = category_log_probs(category_probs(qualities[s], prior.n))
-        sources.append((sum(1 << bit[v] for v in provided),
-                        _SourceCells(log_probs, len(provided))))
+        sources.append((sum(1 << bit[v] for v in provided), len(provided), log_probs))
     priors = [_prior_logs(m, prior, i) for i in range(m + 1)]
 
     def cond_of(mask, remaining):
         k = m - len(remaining)
-        cells = [table[k, (mask & provided).bit_count()] for provided, table in sources]
-        lls = [sum(cell[0 if provided >> v & 1 else 1]
-                   for (provided, _), cell in zip(sources, cells)) for v in remaining]
-        ll_bot = sum(cell[2] for cell in cells)
+        lls = [sum(counts_likelihood(category_counts(k + 1, p, (mask & provided).bit_count()
+                                                     + (provided >> v & 1)), log_probs, False)
+                   for provided, p, log_probs in sources) for v in remaining]
+        ll_bot = sum(counts_likelihood(category_counts(k, p, (mask & provided).bit_count()),
+                                       log_probs, True) for provided, p, log_probs in sources)
         log_v_prior, log_beta = priors[k]
         return _normalise([ll + log_v_prior for ll in lls] + [ll_bot + log_beta],
                           claims.item_id)

@@ -57,11 +57,14 @@ class TestLoadClaims:
             with pytest.raises(ParseError, match="malformed claims row.*line 3"):
                 mio.load_claims(path)
 
-    def test_whitespace_json_value_reports_line(self, tmp_path):
+    @pytest.mark.parametrize("field", ["source", "item", "value"])
+    @pytest.mark.parametrize("blank", ["", " \t "], ids=["empty", "whitespace"])
+    def test_whitespace_json_value_reports_line(self, tmp_path, field, blank):
+        # the CSV reader refuses such a field as a malformed row
         path = tmp_path / "claims.jsonl"
-        path.write_text('{"source": "s1", "item": "d1", "value": "a"}\n'
-                        '{"source": "s2", "item": "d1", "value": " \\t "}\n')
-        with pytest.raises(ParseError, match="empty claims value.*line 2"):
+        row = {"source": "s2", "item": "d1", "value": "b", field: blank}
+        path.write_text('{"source": "s1", "item": "d1", "value": "a"}\n' + json.dumps(row) + "\n")
+        with pytest.raises(ParseError, match=f"empty claims {field}.*line 2"):
             mio.load_claims(path)
 
     @pytest.mark.parametrize("field", ["source", "item", "value"])

@@ -302,10 +302,12 @@ def _iterate_under_hash_seeds(config, method):
     return outputs
 
 
-def test_iterate_independent_of_hash_seed():
+@pytest.mark.parametrize("method", ["hybrid", "accu", "majority", "precrec", "twostep"])
+def test_iterate_independent_of_hash_seed(method):
     # set and frozenset iteration order follows the per-process hash seed;
-    # a float sum taken in that order changes in the last digits
-    outputs = _iterate_under_hash_seeds("num_items=200, rng_seed=5", "hybrid")
+    # a float sum taken in that order changes in the last digits, and a
+    # dict built in that order changes its repr
+    outputs = _iterate_under_hash_seeds("num_items=200, rng_seed=5", method)
     assert outputs[0] == outputs[1]
     assert outputs[0].count("FusionResult(") == 200
 
