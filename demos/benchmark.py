@@ -20,7 +20,7 @@ def main() -> None:
     # report readable
     logging.basicConfig(level=logging.ERROR)
     config = SynthConfig(rng_seed=0)
-    rows = compare(METHODS, config, repetitions=5, threads=4)
+    rows = compare(METHODS, config, repetitions=5)
     print(f"{'method':<10} {'precision':>9} {'recall':>9} {'f1':>9}")
     for row in sorted(rows, key=lambda r: -r.f1):
         print(f"{row.method:<10} {row.precision:>9.4f} {row.recall:>9.4f} "

@@ -15,8 +15,8 @@ in source order, so no source count overflows them.  `approx_fuse` runs
 one item through the step loop on weights shifted by the item's largest
 vote; `approx_fuse_round` runs every item of a `ClaimIndex` at once on
 arrays, with log-sum-exp denominators, and is what `iterate` uses: it
-returns the probabilities as one array, and builds the result objects
-only when asked (`approx_fuse_dataset`).
+returns an `index.FusionRound`, the probabilities as one array, and
+builds the result objects only when its `results()` is called.
 `vote_count`, `bot_vote_count` and `fixture_from_qualities` build the
 same votes as linear-domain products, an independent reference that
 `approx_fuse_from_votes` runs through the scalar step loop.
@@ -25,13 +25,13 @@ same votes as linear-domain products, an independent reference that
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .errors import FusionError
-from .index import ClaimIndex
+from .index import ClaimIndex, FusionRound, blocks
 from .model import (
     ClaimSet,
     FusionDiagnostics,
@@ -191,7 +191,7 @@ def approx_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
     votes in the diagnostics are on that scale too), so no number of
     sources overflows it.  Where a step's votes and stop vote all lie some
     e^700 below the largest vote, their sum underflows on that scale and
-    this raises `FusionError`; `approx_fuse_dataset` normalises each step
+    this raises `FusionError`; `approx_fuse_round` normalises each step
     on its own and does not."""
     sources = sorted(claims.per_source, key=str)
     terms = _log_terms(qualities, sources, prior.n)
@@ -220,61 +220,17 @@ def approx_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
 BLOCK_CELLS = 1 << 14
 
 
-def approx_fuse_dataset(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
-                        prior: PriorConfig,
-                        active: Optional[Iterable[Any]] = None) -> Dict[Any, FusionResult]:
-    """`approx_fuse` on every item of the index, with only the `active`
-    sources (all if None) contributing: the results of
-    `approx_fuse_round`."""
-    return approx_fuse_round(index, qualities, prior, active).results()
-
-
-@dataclass(frozen=True, eq=False)
-class ApproxRound:
-    """One dataset pass of the approximation, as arrays over the index:
-    every candidate's probability in candidate order (`index.tokens`), the
-    candidates of each item in vote order, each item's number of selected
-    truths and termination step, and each item's stop votes up to that
-    step, item after item."""
-
-    index: ClaimIndex
-    probabilities: np.ndarray
-    ranked: np.ndarray
-    n_selected: np.ndarray
-    last: np.ndarray
-    bots: np.ndarray
-
-    def results(self) -> Dict[Any, FusionResult]:
-        """Every item's `FusionResult`, its probabilities in vote order.
-        Each item takes slices of flat lists of the candidates in vote
-        order and of the stop votes."""
-        index, tokens = self.index, self.index.tokens
-        ranked = [tokens[g] for g in self.ranked.tolist()]
-        probs, bots = self.probabilities[self.ranked].tolist(), self.bots.tolist()
-        results: Dict[Any, FusionResult] = {}
-        a = b = 0
-        for d, (m, k, t) in enumerate(zip(index.cand_count.tolist(), self.n_selected.tolist(),
-                                          self.last.tolist())):
-            values = ranked[a:a + m]
-            results[index.items[d]] = FusionResult(
-                item_id=index.item_ids[d],
-                probabilities=dict(zip(values, probs[a:a + m])),
-                selected_truths=values[:k],
-                diagnostics=FusionDiagnostics(method="hybrid", bot_votes=bots[b:b + t],
-                                              termination_step=t),
-            )
-            a += m
-            b += t
-        return results
-
-
 def approx_fuse_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
-                      prior: PriorConfig, active: Optional[Iterable[Any]] = None) -> ApproxRound:
-    """The dataset pass of `approx_fuse_dataset`, as arrays.
+                      prior: PriorConfig, active: Optional[Iterable[Any]] = None) -> FusionRound:
+    """`approx_fuse` on every item of the index, with only the `active`
+    sources (all if None) contributing, as one round.
 
     One pass: each quality is clamped once, the log votes and log stop
     votes are sums over the claim arrays in source order, and the step
-    loop runs over many items at once in the log domain."""
+    loop runs over many items at once in the log domain, in blocks of at
+    most BLOCK_CELLS (items x candidates) cells."""
+    if not len(index):
+        return FusionRound(np.zeros(0), dict)
     mask = index.source_mask(active)
     terms = _log_terms(qualities, [s for s, on in zip(index.sources, mask) if on], prior.n)
     # an inactive source's terms are 0, which leaves every sum it enters
@@ -289,25 +245,42 @@ def approx_fuse_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
     log_odds = np.array([0.0] + [_log_prior_odds(prior, i) for i in range(1, width + 1)])
     log_int = np.array([-math.inf] + [math.log(k) for k in range(1, width + 2)])
     extra = prior_slot_count(prior, 1, 1) - 1
-    blocks = [_fuse_block(index, lo, hi, pair_terms, log_odds, log_int, extra)
-              for lo, hi in _blocks(index.cand_count)]
-    ranked, probs, n_selected, last, bots = (np.concatenate(parts) for parts in zip(*blocks))
-    del blocks
+    parts = [_fuse_block(index, lo, hi, pair_terms, log_odds, log_int, extra)
+             for lo, hi in blocks([1] * len(index), index.cand_count.tolist(), BLOCK_CELLS)]
+    ranked, probs, n_selected, last, bots = (np.concatenate(part) for part in zip(*parts))
+    del parts
     probabilities = np.empty(len(probs))
     probabilities[ranked] = probs
-    return ApproxRound(index, probabilities, ranked, n_selected, last, bots)
+    return FusionRound(probabilities, partial(_results, index, probabilities, ranked,
+                                              n_selected, last, bots))
 
 
-def _blocks(cand_count: np.ndarray):
-    """Consecutive item ranges whose padded matrices stay within
-    BLOCK_CELLS (an item wider than that gets a block of its own)."""
-    lo, width = 0, 0
-    for d, m in enumerate(cand_count.tolist()):
-        width = max(width, m)
-        if d > lo and (d + 1 - lo) * width > BLOCK_CELLS:
-            yield lo, d
-            lo, width = d, m
-    yield lo, len(cand_count)
+def _results(index: ClaimIndex, probabilities: np.ndarray, ranked: np.ndarray,
+             n_selected: np.ndarray, last: np.ndarray,
+             bots: np.ndarray) -> Dict[Any, FusionResult]:
+    """Every item's `FusionResult`, its probabilities in vote order, from
+    the arrays of a round: each candidate's probability in candidate
+    order, the candidates of each item in vote order, each item's number
+    of selected truths and termination step, and each item's stop votes
+    up to that step, item after item."""
+    tokens = index.tokens
+    ranked_tokens = [tokens[g] for g in ranked.tolist()]
+    probs, bots = probabilities[ranked].tolist(), bots.tolist()
+    results: Dict[Any, FusionResult] = {}
+    a = b = 0
+    for d, (m, k, t) in enumerate(zip(index.cand_count.tolist(), n_selected.tolist(),
+                                      last.tolist())):
+        values = ranked_tokens[a:a + m]
+        results[index.items[d]] = FusionResult(
+            item_id=index.item_ids[d],
+            probabilities=dict(zip(values, probs[a:a + m])),
+            selected_truths=values[:k],
+            diagnostics=FusionDiagnostics(method="hybrid", bot_votes=bots[b:b + t],
+                                          termination_step=t),
+        )
+        a += m
+        b += t
+    return results
 
 
 def _fuse_block(index: ClaimIndex, lo: int, hi: int, pair_terms: np.ndarray,

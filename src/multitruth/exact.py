@@ -19,23 +19,23 @@ array operations.  `exact_fuse_round` runs it over every item of a
 `ClaimIndex`, which is what `iterate` uses: each source's log-likelihood
 cells depend only on its quality and on how many values it provides, so
 the pass computes them once per (source, provided count), into one
-array sized by the pass, and every item reads from it.  It returns the
-probabilities as one array, and builds the result objects only when
-asked (`exact_fuse_dataset`).  `exact_fuse` is that pass on a one-item
-index, and `exact_fuse_from_votes` runs the same layers on injected vote
-counts.
+array sized by the pass, and every item reads from it.  It returns an
+`index.FusionRound`, the probabilities as one array, and builds the
+result objects only when its `results()` is called.  `exact_fuse` is
+that pass on a one-item index, and `exact_fuse_from_votes` runs the same
+layers on injected vote counts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DegenerateEvidenceError, InstanceTooLargeError
-from .index import ClaimIndex
+from .index import ClaimIndex, FusionRound, blocks
 from .likelihood import (
     LOG_ZERO,
     category_log_probs,
@@ -65,9 +65,9 @@ CANDIDATE_CAP = 12
 PRUNE_THRESHOLD = 1e-12
 
 # (row, column) cells of one block of items in the layered DP, the size
-# of its largest arrays.  Each item counts its widest layer unpruned, so
-# a block's memory stays bounded however little pruning removes; an item
-# wider than this gets a block of its own.
+# of its largest arrays (see `index.blocks`).  Each item counts its widest
+# layer unpruned, so a block's memory stays bounded however little
+# pruning removes; an item wider than this gets a block of its own.
 BLOCK_CELLS = 1 << 15
 
 _LOWEST = float(np.finfo(float).min)
@@ -223,48 +223,15 @@ def exact_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
                prior: PriorConfig) -> FusionResult:
     """Exact per-value truth probabilities by full possible-world
     enumeration; values with probability above 0.5 are selected.  This is
-    `exact_fuse_dataset` on a one-item index."""
+    `exact_fuse_round` on a one-item index."""
     index = ClaimIndex({claims.item_id: claims})
-    return exact_fuse_dataset(index, qualities, prior)[claims.item_id]
-
-
-def exact_fuse_dataset(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
-                       prior: PriorConfig,
-                       active: Optional[Iterable[Any]] = None) -> Dict[Any, FusionResult]:
-    """`exact_fuse` on every item of the index, with only the `active`
-    sources (all if None) contributing: the results of
-    `exact_fuse_round`."""
-    return exact_fuse_round(index, qualities, prior, active).results()
-
-
-@dataclass(frozen=True, eq=False)
-class ExactRound:
-    """One dataset pass of the exact engine: every candidate's
-    probability, in candidate order (`index.tokens`)."""
-
-    index: ClaimIndex
-    probabilities: np.ndarray
-
-    def results(self) -> Dict[Any, FusionResult]:
-        """Every item's `FusionResult`, its probabilities in token order;
-        values with probability above 0.5 are selected."""
-        index, probs = self.index, self.probabilities.tolist()
-        bounds = index.cand_start.tolist()
-        results: Dict[Any, FusionResult] = {}
-        for d, (c0, c1) in enumerate(zip(bounds, bounds[1:])):
-            probabilities = dict(zip(index.tokens[c0:c1], probs[c0:c1]))
-            results[index.items[d]] = FusionResult(
-                item_id=index.item_ids[d],
-                probabilities=probabilities,
-                selected_truths=_select(probabilities),
-                diagnostics=FusionDiagnostics(method="hybrid-exact"),
-            )
-        return results
+    return exact_fuse_round(index, qualities, prior).results()[claims.item_id]
 
 
 def exact_fuse_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
-                     prior: PriorConfig, active: Optional[Iterable[Any]] = None) -> ExactRound:
-    """The dataset pass of `exact_fuse_dataset`, as an array.
+                     prior: PriorConfig, active: Optional[Iterable[Any]] = None) -> FusionRound:
+    """`exact_fuse` on every item of the index, with only the `active`
+    sources (all if None) contributing, as one round.
 
     Every item's candidate count is checked against CANDIDATE_CAP before any
     item is enumerated.  Each source's category log-probabilities are
@@ -272,9 +239,11 @@ def exact_fuse_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
     can read: a table per (source, provided count) among the active
     pairs, which every item where the source provides that many values
     reads, and the priors by candidate count.  The provided bitmasks of
-    the active (item, source) pairs come straight from the index arrays.  Items run
-    through `_enumerate` in blocks of at most BLOCK_CELLS cells, and a
-    `DegenerateEvidenceError` names the first such item in index order."""
+    the active (item, source) pairs come straight from the index arrays.
+    Items run through `_enumerate` in blocks whose widest layers, unpruned
+    and padded to the block's most active pairs plus the prior, stay
+    within BLOCK_CELLS (row, column) cells, and a `DegenerateEvidenceError`
+    names the first such item in index order."""
     counts = index.cand_count
     for m in counts.tolist():
         if m > CANDIDATE_CAP:
@@ -282,7 +251,7 @@ def exact_fuse_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
                 f"instance too large for exact enumeration ({m} candidates "
                 f"> cap {CANDIDATE_CAP}); use the approximation")
     if not len(index):
-        return ExactRound(index, np.zeros(0))
+        return FusionRound(np.zeros(0), dict)
     on = index.source_mask(active)
     log_probs = np.zeros((len(index.sources), 5))
     for s in np.flatnonzero(on).tolist():
@@ -312,7 +281,10 @@ def exact_fuse_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
 
     totals = np.empty(index.cand_start[-1])
     cand_start = index.cand_start.tolist()
-    for lo, hi in _blocks(counts, n_pairs):
+    widest = {m: max(math.comb(m, k) * (m - k + 1) for k in range(m + 1))
+              for m in set(counts.tolist())}
+    for lo, hi in blocks([widest[m] for m in counts.tolist()], (n_pairs + 1).tolist(),
+                         BLOCK_CELLS):
         a, b = pair_at[lo], pair_at[hi]
         cond = _likelihood_conditional(counts[lo:hi], pair_item[a:b] - lo, column[a:b],
                                        provided[a:b], table_of[a:b], prior_table[lo:hi], cells)
@@ -320,23 +292,25 @@ def exact_fuse_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
         if bad is not None:
             raise _degenerate(index.item_ids[lo + bad])
         totals[cand_start[lo]:cand_start[hi]] = block
-    return ExactRound(index, totals)
+    return FusionRound(totals, partial(_results, index, totals))
 
 
-def _blocks(cand_count: np.ndarray, n_pairs: np.ndarray):
-    """Consecutive item ranges whose widest layers, unpruned and padded to
-    the block's most sources plus the prior, stay within BLOCK_CELLS
-    (row, column) cells; an item wider than that gets a block of its own."""
-    widest = {m: max(math.comb(m, k) * (m - k + 1) for k in range(m + 1))
-              for m in set(cand_count.tolist())}
-    lo, rows, width = 0, 0, 0
-    for d, (m, w) in enumerate(zip(cand_count.tolist(), n_pairs.tolist())):
-        if d > lo and (rows + widest[m]) * (max(width, w) + 1) > BLOCK_CELLS:
-            yield lo, d
-            lo, rows, width = d, 0, 0
-        rows += widest[m]
-        width = max(width, w)
-    yield lo, len(cand_count)
+def _results(index: ClaimIndex, totals: np.ndarray) -> Dict[Any, FusionResult]:
+    """Every item's `FusionResult` from a round's probabilities in
+    candidate order; an item's run in token order, and values with
+    probability above 0.5 are selected."""
+    probs = totals.tolist()
+    bounds = index.cand_start.tolist()
+    results: Dict[Any, FusionResult] = {}
+    for d, (c0, c1) in enumerate(zip(bounds, bounds[1:])):
+        probabilities = dict(zip(index.tokens[c0:c1], probs[c0:c1]))
+        results[index.items[d]] = FusionResult(
+            item_id=index.item_ids[d],
+            probabilities=probabilities,
+            selected_truths=_select(probabilities),
+            diagnostics=FusionDiagnostics(method="hybrid-exact"),
+        )
+    return results
 
 
 def _cells(log_probs: np.ndarray, n_provided: np.ndarray, prior: PriorConfig,
@@ -431,7 +405,7 @@ def _likelihood_conditional(cand_count: np.ndarray, pair_item: np.ndarray,
     return cond
 
 
-def exact_fuse_from_votes(fixture: VoteCountFixture, item_id: Any = None) -> FusionResult:
+def exact_fuse_from_votes(fixture: VoteCountFixture) -> FusionResult:
     """Exact enumeration with conditionals taken from injected vote
     counts: p(v | selected) = L(v) / (sum of unselected L + stop vote)."""
     values = sorted(fixture.votes, key=str)
@@ -447,7 +421,7 @@ def exact_fuse_from_votes(fixture: VoteCountFixture, item_id: Any = None) -> Fus
         raise DegenerateEvidenceError("degenerate votes: zero denominator")
     probabilities = dict(zip(values, totals.tolist()))
     return FusionResult(
-        item_id=item_id,
+        item_id=None,
         probabilities=probabilities,
         selected_truths=_select(probabilities),
         diagnostics=FusionDiagnostics(method="hybrid-exact-votes"),

@@ -1,19 +1,22 @@
-"""Flat, array-backed index of a dataset's claims.
+"""Flat, array-backed index of a dataset's claims, and the frame that
+both dataset passes run in.
 
 `iterate` builds one per run and drives both halves of its loop from it:
-the dataset passes of the engines (`approx.approx_fuse_round`,
-`exact.exact_fuse_round`), which hand back every candidate's probability
-as one float array in candidate order, and the quality update
-(`quality.source_metrics`), which reads that array.  Everything is laid
-out in a fixed order -- items, sources and each item's candidates sorted
-by their `str`, and each (item, source) pair's values in candidate
-order -- so every sum over these arrays runs in an order that does not
-depend on the hash seed.
+the fusion round, a `FusionRound` that every backend hands back (the
+dataset passes `approx.approx_fuse_round` and `exact.exact_fuse_round`,
+or the per-item calls of any other backend), and the quality update
+(`quality.source_metrics`), which reads the round's probability array.
+Both passes split the index into item ranges with `blocks`.  Everything
+is laid out in a fixed order -- items, sources and each item's
+candidates sorted by their `str`, and each (item, source) pair's values
+in candidate order -- so every sum over these arrays runs in an order
+that does not depend on the hash seed.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Mapping
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -92,3 +95,28 @@ class ClaimIndex:
             get = results[item].probabilities.get
             probs.extend(get(v, 0.0) for v in self.tokens[bounds[d]:bounds[d + 1]])
         return np.array(probs, dtype=float)
+
+
+@dataclass(frozen=True, eq=False)
+class FusionRound:
+    """One fusion round of every item of an index: each candidate's
+    probability in candidate order (`ClaimIndex.tokens`), and `results()`,
+    which builds every item's `FusionResult`, keyed as `ClaimIndex.items`."""
+
+    probabilities: np.ndarray
+    results: Callable[[], Dict[Any, FusionResult]]
+
+
+def blocks(rows: Sequence[int], cols: Sequence[int], budget: int) -> Iterator[Tuple[int, int]]:
+    """Consecutive item ranges [lo, hi) whose summed `rows` times largest
+    `cols` stay within `budget`: the cells of a block's padded arrays.  An
+    item over the budget on its own gets a range of its own."""
+    lo, total, width = 0, 0, 0
+    for d, (r, c) in enumerate(zip(rows, cols)):
+        if d > lo and (total + r) * max(width, c) > budget:
+            yield lo, d
+            lo, total, width = d, 0, 0
+        total += r
+        width = max(width, c)
+    if lo < len(rows):
+        yield lo, len(rows)

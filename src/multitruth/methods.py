@@ -16,10 +16,8 @@ from .quality import FusionBackend, IterationConfig
 class DatasetBackend:
     """An engine with a dataset pass: called on one item it runs
     `fuse_item`, and `iterate` calls `fuse_dataset(index, qualities,
-    prior, active)` to fuse a whole dataset at once.  That returns the
-    engine's round: `probabilities`, one float array over the index's
-    candidates, and `results()`, which builds every item's
-    `FusionResult`."""
+    prior, active)` to fuse a whole dataset at once.  That returns an
+    `index.FusionRound`, the one round type of every backend."""
 
     fuse_item: Callable
     fuse_dataset: Callable

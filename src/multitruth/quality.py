@@ -16,16 +16,15 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .index import ClaimIndex
+from .index import ClaimIndex, FusionRound
 from .model import ClaimSet, FusionResult, PriorConfig, SourceQuality, derive_q
 
 log = logging.getLogger(__name__)
 
 # A backend fuses one item.  It may also offer a dataset-level entry,
-# `fuse_dataset(index, qualities, prior, active)`, returning a round of
-# every item at once: `probabilities`, one float array in the index's
-# candidate order, and `results()`, every item's result.  `iterate` then
-# calls that instead.
+# `fuse_dataset(index, qualities, prior, active)`, returning an
+# `index.FusionRound` of every item at once; `iterate` then calls that
+# instead.
 FusionBackend = Callable[[ClaimSet, Mapping[Any, SourceQuality], PriorConfig], FusionResult]
 
 # `iterate` stops once no quality field moves more than this in a round
@@ -164,30 +163,20 @@ class IterationRecord:
     good: bool
 
 
-class _ItemRound:
-    """A round fused item by item: its results, and their probabilities
-    read back in the index's candidate order."""
-
-    def __init__(self, index: ClaimIndex, results: Dict[Any, FusionResult]):
-        self.probabilities = index.candidate_probabilities(results)
-        self._results = results
-
-    def results(self) -> Dict[Any, FusionResult]:
-        return self._results
-
-
 def _fuse_all(dataset: Mapping[Any, ClaimSet], index: ClaimIndex,
               qualities: Mapping[Any, SourceQuality], prior: PriorConfig,
-              fusion: FusionBackend, active: Optional[set]):
+              fusion: FusionBackend, active: Optional[set]) -> FusionRound:
     """One fusion round of every item: the backend's dataset pass if it
-    has one, otherwise its per-item calls."""
+    has one, otherwise its per-item calls, whose probabilities are read
+    back in the index's candidate order."""
     fuse_dataset = getattr(fusion, "fuse_dataset", None)
     if fuse_dataset is not None:
         return fuse_dataset(index, qualities, prior, active)
-    return _ItemRound(index, {
+    results = {
         item: fusion(dataset[item] if active is None else dataset[item].restrict(active),
                      qualities, prior)
-        for item in index.items})
+        for item in index.items}
+    return FusionRound(index.candidate_probabilities(results), lambda: results)
 
 
 def iterate(dataset: Mapping[Any, ClaimSet], prior: PriorConfig,

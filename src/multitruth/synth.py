@@ -64,6 +64,19 @@ class SynthConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.truth_count_min > self.truth_count_max:
             raise ValueError("truth_count_min must be <= truth_count_max")
+        # the most distinct false values `generate` can draw for one source
+        # on one item: every truth slot covered and filled falsely, plus
+        # the extras
+        slots = self.truth_count_max
+        if self.truth_count_std == 0:
+            slots = min(max(_round_half_up(self.truth_count_mean), self.truth_count_min), slots)
+        covered = slots if self.source_recall > 0 else 0
+        most = (covered if self.source_accuracy < 1 else 0) + _round_half_up(
+            self.extra_ratio * covered)
+        if self.false_domain_size < most:
+            raise ValueError(f"false_domain_size must be >= {most}, the most distinct false "
+                             f"values one source can give on one item, got "
+                             f"{self.false_domain_size}")
 
 
 def _round_half_up(x: float) -> int:

@@ -30,7 +30,7 @@ from multitruth import (
     UnknownSourceError,
 )
 from multitruth import approx
-from multitruth.approx import ERROR_BOUND, approx_fuse_dataset
+from multitruth.approx import ERROR_BOUND, approx_fuse_round
 from multitruth.exact import CANDIDATE_CAP
 from multitruth.index import ClaimIndex
 from multitruth.methods import fusion_backend
@@ -299,7 +299,7 @@ class TestManySources:
         psi["t"] = {"b"}
         qualities = {s: self.QUALITY for s in psi}
         dataset = {d: ClaimSet.from_claims(d, psi) for d in ("d1", "d2")}
-        fused = approx_fuse_dataset(ClaimIndex(dataset), qualities, self.PRIOR)
+        fused = approx_fuse_round(ClaimIndex(dataset), qualities, self.PRIOR).results()
         results, _, _ = iterate(dataset, self.PRIOR, fusion_backend("hybrid"),
                                 IterationConfig(init_quality=self.QUALITY))
         for r in [*fused.values(), *results.values()]:
@@ -354,7 +354,7 @@ def _random_prior(rng):
 
 
 class TestDatasetPass:
-    """approx_fuse_dataset against the linear-domain vote fixture of each
+    """approx_fuse_round against the linear-domain vote fixture of each
     item run through the scalar step loop, and against the per-item
     approx_fuse it replaces inside iterate."""
 
@@ -371,7 +371,7 @@ class TestDatasetPass:
             prior = _random_prior(rng)
             mode = ("literal", "example-compatible")[int(rng.integers(2))]
             prior = replace(prior, prior_mode=mode)
-            fused = approx_fuse_dataset(index, qualities, prior, active)
+            fused = approx_fuse_round(index, qualities, prior, active).results()
             assert list(fused) == index.items
             for item, cs in dataset.items():
                 cs = cs if active is None else cs.restrict(active)
@@ -412,20 +412,21 @@ class TestDatasetPass:
         index = ClaimIndex(dataset)
         qualities = {s: _random_quality(rng) for s in index.sources}
         prior = _random_prior(rng)
-        whole = approx_fuse_dataset(index, qualities, prior)
+        whole = approx_fuse_round(index, qualities, prior).results()
         monkeypatch.setattr(approx, "BLOCK_CELLS", 40)
-        assert repr(approx_fuse_dataset(index, qualities, prior)) == repr(whole)
+        assert repr(approx_fuse_round(index, qualities, prior).results()) == repr(whole)
 
     def test_item_without_candidates_rejected(self, hockey_qualities, hockey_prior):
         # ClaimSet.from_claims refuses the item, so no index holds it
         with pytest.raises(ValueError, match="no candidate"):
             index = ClaimIndex({"d": ClaimSet.from_claims("d", {})})
-            approx_fuse_dataset(index, hockey_qualities, hockey_prior)
+            approx_fuse_round(index, hockey_qualities, hockey_prior).results()
 
     def test_unknown_active_source_rejected(self, hockey_claims, hockey_prior):
         index = ClaimIndex({"d": hockey_claims})
         q = SourceQuality(accuracy=0.6, recall=0.9, false_positive_rate=0.1)
         with pytest.raises(UnknownSourceError):
-            approx_fuse_dataset(index, {"s1": q, "s2": q}, hockey_prior)
+            approx_fuse_round(index, {"s1": q, "s2": q}, hockey_prior).results()
         # an inactive source needs no quality entry
-        approx_fuse_dataset(index, {"s1": q, "s2": q}, hockey_prior, active={"s1", "s2"})
+        approx_fuse_round(index, {"s1": q, "s2": q}, hockey_prior,
+                          active={"s1", "s2"}).results()

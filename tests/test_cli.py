@@ -67,7 +67,9 @@ class TestSynth:
                                 ({"num_sources": 0}, "invalid synth config: num_sources"),
                                 ({"num_items": -3}, "invalid synth config: num_items"),
                                 ({"truth_count_min": 5, "truth_count_max": 2},
-                                 "invalid synth config: truth_count_min must be <= ")):
+                                 "invalid synth config: truth_count_min must be <= "),
+                                ({"false_domain_size": 1, "num_items": 5},
+                                 "invalid synth config: false_domain_size must be >= 12")):
             cfg.write_text(json.dumps(config))
             result = runner.invoke(main, ["synth", "--config", str(cfg),
                                           "--out-claims", str(tmp_path / "c.csv"),
@@ -329,7 +331,8 @@ class TestCompareSweep:
         for grid, message in (("num_items=5,0", "num_items must be >= 1"),
                               ("truth_count_mean=4,nan", "truth_count_mean must be finite"),
                               ("truth_count_max=0", "truth_count_min must be <= "),
-                              ("source_recall=0.5,1.5", "source_recall must be in [0,1]")):
+                              ("source_recall=0.5,1.5", "source_recall must be in [0,1]"),
+                              ("false_domain_size=1", "false_domain_size must be >= 12")):
             result = runner.invoke(main, ["compare", "--methods", "accu", "--grid", grid,
                                           "--out", str(tmp_path / "r.csv")])
             assert result.exit_code == 2, grid

@@ -1,7 +1,11 @@
 """The declared dependency floor holds: the package calls no numpy
-function newer than the `numpy>=` floor in pyproject.toml."""
+function newer than the `numpy>=` floor in pyproject.toml, and fusion
+imports no numpy submodule it does not need."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -30,3 +34,31 @@ def test_numpy_calls_within_the_declared_floor():
     assert {(file, name) for file, name in used if name in newer} == set()
     # the scan sees the package's numpy calls
     assert ("exact.py", "bincount") in used
+
+
+NUMPY_MA_SCRIPT = """
+import sys
+from multitruth import PriorConfig, iterate
+from multitruth.io import claims_by_item
+from multitruth.methods import fusion_backend
+from multitruth.synth import SynthConfig, generate, truth_count_distribution
+
+narrow = SynthConfig(num_items=20, truth_count_max=2, false_domain_size=4, extra_ratio=0.6,
+                     source_accuracy=0.9, source_recall=0.9, rng_seed=1)
+for method in ("hybrid", "hybrid-exact", "accu", "precrec", "twostep", "majority"):
+    cfg = narrow if method == "hybrid-exact" else SynthConfig(num_items=20, rng_seed=1)
+    prior = PriorConfig(n=10, alpha=0.25, truth_count_dist=truth_count_distribution(cfg))
+    iterate(claims_by_item(generate(cfg)[0]), prior, fusion_backend(method))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_fusion_does_not_import_numpy_ma():
+    # `np.unique` imports numpy.ma on its first call, which costs about
+    # 1.2 MB of resident memory in a short run
+    src = str(ROOT / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", NUMPY_MA_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"

@@ -34,7 +34,7 @@ from multitruth.exact import (
     _normalise,
     _prior_logs,
     conditional_distribution,
-    exact_fuse_dataset,
+    exact_fuse_round,
 )
 from multitruth.index import ClaimIndex
 from multitruth.likelihood import (
@@ -144,7 +144,7 @@ class TestExactFuse:
         with pytest.raises(InstanceTooLargeError, match=message):
             exact_fuse(claims, qualities, prior)
         with pytest.raises(InstanceTooLargeError, match=message):
-            exact_fuse_dataset(ClaimIndex({claims.item_id: claims}), qualities, prior)
+            exact_fuse_round(ClaimIndex({claims.item_id: claims}), qualities, prior).results()
 
     def test_order_independence(self):
         rng = np.random.default_rng(3)
@@ -341,7 +341,7 @@ def random_dataset(rng, n_items, max_values=6):
 
 
 class TestDatasetPass:
-    """`exact_fuse_dataset` against the order walk on each item as
+    """`exact_fuse_round` against the order walk on each item as
     `iterate`'s per-item path restricts it."""
 
     PRIOR = PriorConfig(n=10, alpha=0.25, truth_count_dist={1: 0.3, 2: 0.4, 3: 0.2, 4: 0.1})
@@ -356,7 +356,7 @@ class TestDatasetPass:
         for i in range(40):
             dataset, qualities, active = random_dataset(rng, n_items=12)
             prior = replace(self.PRIOR, prior_mode=("literal", "example-compatible")[i % 2])
-            fused = exact_fuse_dataset(ClaimIndex(dataset), qualities, prior, active)
+            fused = exact_fuse_round(ClaimIndex(dataset), qualities, prior, active).results()
             assert list(fused) == sorted(dataset)
             for item, claims in dataset.items():
                 restricted = claims if active is None else claims.restrict(active)
@@ -385,8 +385,8 @@ class TestDatasetPass:
         qualities = {s: SourceQuality(accuracy=0.6 + 0.03 * i, recall=0.8,
                                       false_positive_rate=0.2)
                      for i, s in enumerate(sorted(psi))}
-        fused = exact_fuse_dataset(ClaimIndex({"wide": wide, "narrow": narrow}), qualities,
-                                   self.PRIOR)
+        fused = exact_fuse_round(ClaimIndex({"wide": wide, "narrow": narrow}), qualities,
+                                 self.PRIOR).results()
         _assert_agrees(fused["wide"], walk_exact_fuse(wide, qualities, self.PRIOR,
                                                       PRUNE_THRESHOLD))
         assert repr(fused["wide"]) == repr(exact_fuse(wide, qualities, self.PRIOR))
@@ -403,22 +403,22 @@ class TestDatasetPass:
         prior = PriorConfig(truth_count_dist={1: 1.0})
         index = ClaimIndex(dataset)
         with pytest.raises(DegenerateEvidenceError):
-            exact_fuse_dataset(index, {"s1": q, "s2": q}, prior)
+            exact_fuse_round(index, {"s1": q, "s2": q}, prior).results()
         monkeypatch.setattr(exact, "CANDIDATE_CAP", 5)
         with pytest.raises(InstanceTooLargeError, match=r"^instance too large for exact "
                            r"enumeration \(6 candidates > cap 5\); use the approximation$"):
-            exact_fuse_dataset(index, {"s1": q, "s2": q}, prior)
+            exact_fuse_round(index, {"s1": q, "s2": q}, prior).results()
 
     def test_inactive_source_needs_no_quality(self, hockey_claims, hockey_qualities,
                                               hockey_prior):
         active = {"s1", "s2"}
         qualities = {s: hockey_qualities[s] for s in active}
-        fused = exact_fuse_dataset(ClaimIndex({"d": hockey_claims}), qualities, hockey_prior,
-                                   active)
+        fused = exact_fuse_round(ClaimIndex({"d": hockey_claims}), qualities, hockey_prior,
+                                 active).results()
         assert repr(fused["d"]) == repr(exact_fuse(hockey_claims.restrict(active), qualities,
                                                    hockey_prior))
         with pytest.raises(UnknownSourceError):
-            exact_fuse_dataset(ClaimIndex({"d": hockey_claims}), qualities, hockey_prior)
+            exact_fuse_round(ClaimIndex({"d": hockey_claims}), qualities, hockey_prior).results()
 
 
 class TestCells:
@@ -606,7 +606,7 @@ class TestBatchIndependence:
                      for item, claims in dataset.items()}
             for block_cells in (exact.BLOCK_CELLS, 300):
                 monkeypatch.setattr(exact, "BLOCK_CELLS", block_cells)
-                fused = exact_fuse_dataset(index, qualities, prior, active)
+                fused = exact_fuse_round(index, qualities, prior, active).results()
                 assert {item: repr(r) for item, r in fused.items()} == alone
 
 
@@ -619,7 +619,7 @@ class TestBatchIndependence:
                    "b": ClaimSet.from_claims("b", {"s1": ["p", "q"], "s2": ["r"]})}
         prior = PriorConfig(truth_count_dist={2: 1.0})
         with pytest.raises(DegenerateEvidenceError, match="^degenerate evidence on item 'a': "):
-            exact_fuse_dataset(ClaimIndex(dataset), {"s1": q, "s2": q}, prior)
+            exact_fuse_round(ClaimIndex(dataset), {"s1": q, "s2": q}, prior).results()
         assert conditional_distribution(dataset["a"], {"s1": q, "s2": q}, prior, [])["x"] > 0
 
         # qualities at the 0/1 edges make some items degenerate, some only
@@ -643,10 +643,10 @@ class TestBatchIndependence:
             if errors:
                 raised += 1
                 with pytest.raises(DegenerateEvidenceError) as caught:
-                    exact_fuse_dataset(ClaimIndex(dataset), qualities, prior)
+                    exact_fuse_round(ClaimIndex(dataset), qualities, prior).results()
                 assert str(caught.value) == errors[min(errors)]
             else:
-                fused = exact_fuse_dataset(ClaimIndex(dataset), qualities, prior)
+                fused = exact_fuse_round(ClaimIndex(dataset), qualities, prior).results()
                 assert all(repr(fused[item]) == repr(exact_fuse(claims, qualities, prior))
                            for item, claims in dataset.items())
         assert 10 <= raised <= 50
@@ -662,10 +662,10 @@ def test_pass_memory_is_bounded():
     prior = PriorConfig(n=10, alpha=0.25, truth_count_dist=truth_count_distribution(cfg))
     quality = IterationConfig().init_quality.clamped()
     qualities = dict.fromkeys(index.sources, quality)
-    exact_fuse_dataset(index, qualities, prior)
+    exact_fuse_round(index, qualities, prior).results()
     tracemalloc.start()
     try:
-        fused = exact_fuse_dataset(index, qualities, prior)
+        fused = exact_fuse_round(index, qualities, prior).results()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -50,6 +50,7 @@ class TestConfig:
         ({"truth_count_min": 0}, "truth_count_min must be >= 1"),
         ({"truth_count_min": 5, "truth_count_max": 2},
          "truth_count_min must be <= truth_count_max"),
+        ({"false_domain_size": 11}, "false_domain_size must be >= 12"),
     ])
     def test_ranges(self, fields, message):
         with pytest.raises(ValueError, match=message):
@@ -60,6 +61,20 @@ class TestConfig:
         claims, gold = generate(cfg)
         assert [len(vs) for vs in gold.truths.values()] == [2]
         assert {c.source_id for c in claims} <= {"s00"}
+
+    def test_false_domain_holds_one_source_on_one_item(self):
+        # 3 truth slots, all covered and filled falsely, plus round(1.5)
+        # extras: 5 distinct false values
+        fields = dict(num_items=5, truth_count_mean=3, truth_count_std=0.0, truth_count_max=3,
+                      source_accuracy=0.0, source_recall=1.0, extra_ratio=0.5)
+        with pytest.raises(ValueError, match=r"^false_domain_size must be >= 5, .*got 4$"):
+            SynthConfig(**fields, false_domain_size=4)
+        claims, _ = generate(SynthConfig(**fields, false_domain_size=5))
+        assert len({c.value for c in claims if c.value.startswith("f")}) == 5
+        # no false value is drawn without a wrong fill or an extra
+        generate(SynthConfig(num_items=5, source_accuracy=1.0, extra_ratio=0.0,
+                             false_domain_size=1))
+        generate(SynthConfig(num_items=5, source_recall=0.0, false_domain_size=1))
 
     def test_integers_in_float_fields(self):
         # the canned sweeps pass truth_count_mean 2, 4, ...
