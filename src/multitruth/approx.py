@@ -244,8 +244,7 @@ def approx_fuse_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
     width = int(index.cand_count.max())
     log_odds = np.array([0.0] + [_log_prior_odds(prior, i) for i in range(1, width + 1)])
     log_int = np.array([-math.inf] + [math.log(k) for k in range(1, width + 2)])
-    extra = prior_slot_count(prior, 1, 1) - 1
-    parts = [_fuse_block(index, lo, hi, pair_terms, log_odds, log_int, extra)
+    parts = [_fuse_block(index, lo, hi, pair_terms, log_odds, log_int, prior)
              for lo, hi in blocks([1] * len(index), index.cand_count.tolist(), BLOCK_CELLS)]
     ranked, probs, n_selected, last, bots = (np.concatenate(part) for part in zip(*parts))
     del parts
@@ -284,7 +283,7 @@ def _results(index: ClaimIndex, probabilities: np.ndarray, ranked: np.ndarray,
 
 
 def _fuse_block(index: ClaimIndex, lo: int, hi: int, pair_terms: np.ndarray,
-                log_odds: np.ndarray, log_int: np.ndarray, extra: int):
+                log_odds: np.ndarray, log_int: np.ndarray, prior: PriorConfig):
     """The step loop over items lo..hi-1: one row per item, its
     candidates in vote order, padded with -inf votes.
 
@@ -320,7 +319,7 @@ def _fuse_block(index: ClaimIndex, lo: int, hi: int, pair_terms: np.ndarray,
     for i in range(1, width + 1):
         total = np.bincount(pair_row, weights=np.where(pair_size >= i, pair_more, pair_rest),
                             minlength=rows)
-        slots = np.maximum(m - i + 1 + extra, 1)
+        slots = np.maximum(prior_slot_count(prior, m, i), 1)
         log_bot[:, i - 1] = total + (log_odds[i] + log_int[slots])
 
     p = np.zeros((rows, width))

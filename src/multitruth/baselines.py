@@ -61,13 +61,19 @@ def _accuracy_votes(claims: ClaimSet, qualities: Mapping[Any, SourceQuality], n:
     return {v: math.exp(lv - top) for v, lv in log_votes.items()}
 
 
-def accu_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality], n: int) -> FusionResult:
-    """Single-truth fusion: normalize accuracy vote counts over all
-    provided values; exactly one truth is selected."""
+def _accu(claims: ClaimSet, qualities: Mapping[Any, SourceQuality], n: int):
+    """accu's probabilities, the accuracy votes normalised over all
+    provided values, and the values ranked by them (`sort_values`)."""
     votes = _accuracy_votes(claims, qualities, n)
     total = math.fsum(votes.values())
     probabilities = {v: l / total for v, l in votes.items()}
-    ranked = sort_values(probabilities)
+    return probabilities, sort_values(probabilities)
+
+
+def accu_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality], n: int) -> FusionResult:
+    """Single-truth fusion: normalize accuracy vote counts over all
+    provided values; exactly one truth is selected."""
+    probabilities, ranked = _accu(claims, qualities, n)
     diag = FusionDiagnostics(method="accu")
     top_p = probabilities[ranked[0]]
     ties = [v for v in ranked if probabilities[v] == top_p]
@@ -122,8 +128,6 @@ def twostep_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
         k = tied[0]
         if len(tied) > 1:
             diag.notes.append(f"truth-count tie among {tied}; selected smallest k={k}")
-    value_result = accu_fuse(claims, qualities, prior.n)
-    ranked = sort_values(value_result.probabilities)
-    return FusionResult(item_id=claims.item_id,
-                        probabilities=value_result.probabilities,
+    probabilities, ranked = _accu(claims, qualities, prior.n)
+    return FusionResult(item_id=claims.item_id, probabilities=probabilities,
                         selected_truths=ranked[:k], diagnostics=diag)

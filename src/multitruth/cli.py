@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 from . import io as mio
-from .errors import FusionError
+from .errors import FusionError, ParseError
 from .methods import FUSION_BACKENDS, fusion_backend, method_iteration_config
 from .model import PriorConfig, SourceQuality
 from .quality import IterationConfig, iterate
@@ -34,8 +34,8 @@ _SYNTH_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SynthConfig)}
 def _read_config(path, keys, kind: str) -> dict:
     """The JSON object in the config file `path`, with keys among `keys`."""
     try:
-        raw = json.loads(Path(path).read_text()) if path is not None else {}
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = json.loads("".join(mio._lines(Path(path)))) if path is not None else {}
+    except (OSError, json.JSONDecodeError, ParseError) as exc:
         raise click.UsageError(f"cannot read config {path}: {exc}")
     if not isinstance(raw, dict):
         raise click.UsageError(f"invalid {kind}: expected a JSON object, got {type(raw).__name__}")
@@ -73,6 +73,15 @@ def _load_run_config(path, method: str):
     return prior, fusion_backend(method), method_iteration_config(method, iter_cfg)
 
 
+def _in_existing_dir(ctx, param, path):
+    """Refuse an output path whose directory is missing, while the options
+    are parsed, so before the command reads or generates anything."""
+    directory = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(directory):
+        raise click.BadParameter(f"directory {directory!r} does not exist")
+    return path
+
+
 @click.group()
 def main():
     """Multi-truth data fusion toolkit."""
@@ -88,7 +97,7 @@ def main():
               type=click.Path(exists=True, dir_okay=False), help="Claims CSV or JSONL.")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               help="JSON run configuration.")
-@click.option("--out", "out_prefix", required=True,
+@click.option("--out", "out_prefix", required=True, callback=_in_existing_dir,
               help="Output prefix: writes <prefix>.csv and <prefix>.json.")
 def fuse(method, claims_path, config_path, out_prefix):
     """Fuse a claims file and write per-value probabilities plus a run
@@ -106,8 +115,9 @@ def fuse(method, claims_path, config_path, out_prefix):
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               help="JSON with synthetic-generator fields.")
 @click.option("--seed", type=int, default=None, help="Override the RNG seed.")
-@click.option("--out-claims", required=True, help="Claims CSV to write.")
-@click.option("--out-gold", required=True, help="Gold CSV to write.")
+@click.option("--out-claims", required=True, callback=_in_existing_dir,
+              help="Claims CSV to write.")
+@click.option("--out-gold", required=True, callback=_in_existing_dir, help="Gold CSV to write.")
 def synth(config_path, seed, out_claims, out_gold):
     """Generate a synthetic dataset with known ground truth."""
     raw = _read_config(config_path, _SYNTH_DEFAULTS.keys(), "synth config")
@@ -185,7 +195,7 @@ def _run_compare(methods, reps, grid, seed, threads, out):
               help="Parameter sweep, e.g. source_accuracy=0.2,0.4,0.6.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--out", required=True, help="Report CSV to write.")
+@click.option("--out", required=True, callback=_in_existing_dir, help="Report CSV to write.")
 def compare_cmd(methods, reps, grid_spec, seed, threads, out):
     """Benchmark methods on synthetic data and write a report table."""
     grid = _parse_grid(grid_spec) if grid_spec else None
@@ -208,7 +218,7 @@ _SWEEPS = {
 @click.option("--reps", type=click.IntRange(min=1), default=20, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--out", required=True, help="Report CSV to write.")
+@click.option("--out", required=True, callback=_in_existing_dir, help="Report CSV to write.")
 def sweep(figure, methods, reps, seed, threads, out):
     """Run one of the canned benchmark parameter sweeps."""
     _run_compare(methods, reps, _SWEEPS[figure], seed, threads, out)

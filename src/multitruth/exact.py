@@ -36,12 +36,9 @@ import numpy as np
 
 from .errors import DegenerateEvidenceError, InstanceTooLargeError
 from .index import ClaimIndex, FusionRound, blocks
-from .likelihood import (
-    LOG_ZERO,
-    category_log_probs,
-    category_probs,
-    source_likelihood,
-)
+from .likelihood import LOG_ZERO, category_log_probs, category_probs, joint_likelihood
+# unused, but bench/tracing.py wraps `exact.source_likelihood` by name
+from .likelihood import source_likelihood  # noqa: F401
 from .model import (
     BOTTOM,
     ClaimSet,
@@ -105,26 +102,14 @@ def _prior_logs(m: int, prior: PriorConfig, n_selected: int) -> Tuple[float, flo
 def conditional_distribution(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
                              prior: PriorConfig, selected: Sequence[Any]) -> Dict[Any, float]:
     """Bayes-normalized probabilities, over the unselected candidates plus
-    BOTTOM, of being the next truth after `selected`.  Evaluates every
-    source's likelihood on the hypothesized sets themselves; `exact_fuse`
-    reaches the same numbers from category counts."""
-    source_probs = {s: category_probs(quality_of(qualities, s), prior.n)
-                    for s in claims.per_source}
-    selected_seq = tuple(frozenset(selected))
+    BOTTOM, of being the next truth after `selected`, each weighted by
+    `joint_likelihood` on the hypothesized set itself plus its log prior;
+    `exact_fuse` reaches the same numbers from category counts."""
     remaining = sorted(claims.candidates - frozenset(selected), key=str)
     log_v_prior, log_beta = _prior_logs(len(claims.candidates), prior, len(selected))
-
-    def joint_ll(candidate) -> float:
-        total = 0.0
-        for source, provided in claims.per_source.items():
-            ll = source_likelihood(provided, selected_seq, candidate, source_probs[source])
-            if ll == LOG_ZERO:
-                return LOG_ZERO
-            total += ll
-        return total
-
-    log_weights = ([joint_ll(v) + log_v_prior for v in remaining]
-                   + [joint_ll(BOTTOM) + log_beta])
+    log_weights = [joint_likelihood(claims, qualities, selected, v, prior.n)
+                   + (log_beta if v is BOTTOM else log_v_prior)
+                   for v in remaining + [BOTTOM]]
     return dict(zip(remaining + [BOTTOM], _normalise(log_weights, claims.item_id)))
 
 
@@ -215,10 +200,6 @@ def _enumerate(cand_count: np.ndarray, cond: Conditional) -> Tuple[np.ndarray, O
     return totals, (int(first[0]) if first.size else None)
 
 
-def _select(probabilities: Dict[Any, float]):
-    return sort_values({v: p for v, p in probabilities.items() if p > 0.5})
-
-
 def exact_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
                prior: PriorConfig) -> FusionResult:
     """Exact per-value truth probabilities by full possible-world
@@ -301,16 +282,22 @@ def _results(index: ClaimIndex, totals: np.ndarray) -> Dict[Any, FusionResult]:
     probability above 0.5 are selected."""
     probs = totals.tolist()
     bounds = index.cand_start.tolist()
-    results: Dict[Any, FusionResult] = {}
-    for d, (c0, c1) in enumerate(zip(bounds, bounds[1:])):
-        probabilities = dict(zip(index.tokens[c0:c1], probs[c0:c1]))
-        results[index.items[d]] = FusionResult(
-            item_id=index.item_ids[d],
-            probabilities=probabilities,
-            selected_truths=_select(probabilities),
-            diagnostics=FusionDiagnostics(method="hybrid-exact"),
-        )
-    return results
+    return {index.items[d]: _result(index.item_ids[d], index.tokens[c0:c1], probs[c0:c1],
+                                    "hybrid-exact")
+            for d, (c0, c1) in enumerate(zip(bounds, bounds[1:]))}
+
+
+def _result(item_id: Any, values: Sequence[Any], probs: Sequence[float],
+            method: str) -> FusionResult:
+    """One item's `FusionResult` from its `values` and their exact
+    `probs`; the values with probability above 0.5 are selected."""
+    probabilities = dict(zip(values, probs))
+    return FusionResult(
+        item_id=item_id,
+        probabilities=probabilities,
+        selected_truths=sort_values({v: p for v, p in probabilities.items() if p > 0.5}),
+        diagnostics=FusionDiagnostics(method=method),
+    )
 
 
 def _cells(log_probs: np.ndarray, n_provided: np.ndarray, prior: PriorConfig,
@@ -419,10 +406,4 @@ def exact_fuse_from_votes(fixture: VoteCountFixture) -> FusionResult:
     totals, bad = _enumerate(np.array([len(values)]), cond)
     if bad is not None:
         raise DegenerateEvidenceError("degenerate votes: zero denominator")
-    probabilities = dict(zip(values, totals.tolist()))
-    return FusionResult(
-        item_id=None,
-        probabilities=probabilities,
-        selected_truths=_select(probabilities),
-        diagnostics=FusionDiagnostics(method="hybrid-exact-votes"),
-    )
+    return _result(None, values, totals.tolist(), "hybrid-exact-votes")

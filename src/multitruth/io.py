@@ -1,6 +1,7 @@
 """File formats: claims and gold CSV/JSONL ingestion, probability and
-report emission.  Floating-point output uses 6 significant digits so
-reruns are byte-identical.
+report emission.  Every file is read as UTF-8 with an optional byte-order
+mark and written as UTF-8, whatever the locale.  Floating-point output
+uses 6 significant digits so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -8,10 +9,11 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass
+from contextlib import closing
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 from .errors import ParseError
 from .model import (
@@ -27,6 +29,11 @@ from .model import (
 log = logging.getLogger(__name__)
 
 CLAIM_COLUMNS = ("source_id", "item_id", "value")
+
+# a byte-order mark, as spreadsheet programs save one, is not part of the
+# first field
+_READ_ENCODING = "utf-8-sig"
+_WRITE_ENCODING = "utf-8"
 
 
 @dataclass
@@ -48,12 +55,22 @@ def _detect_format(path: Path) -> str:
                          f"of the suffixes {', '.join(_FORMAT_OF_SUFFIX)}") from None
 
 
+def _lines(path: Path) -> Iterator[str]:
+    """The lines of a text file, line endings kept, as `csv.reader` wants
+    them; a file that is not UTF-8 is a `ParseError` naming it."""
+    try:
+        with path.open(newline="", encoding=_READ_ENCODING) as fh:
+            yield from fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
 def _csv_rows(path: Path, kind: str, columns: Sequence[str], optional: Sequence[str] = ()):
     """Each data row of a CSV `kind` file as a tuple of its `columns`, which the
     header must have, then of the `optional` columns the header has (a name
     given twice means its last column); each must hold more than whitespace."""
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    with closing(_lines(path)) as lines:
+        reader = csv.reader(lines)
         header = next(reader, None)
         if header is None:
             raise ParseError(f"empty {kind} file {path}")
@@ -70,29 +87,33 @@ def _csv_rows(path: Path, kind: str, columns: Sequence[str], optional: Sequence[
 
 
 def _iter_claim_rows(path: Path, fmt: str):
+    """Each claim of a claims file as a (source, item, value) tuple of text.
+    A JSONL number keeps its spelling and a boolean reads as `true` or
+    `false`, as the same field of a CSV file would."""
     if fmt == "csv":
         yield from _csv_rows(path, "claims", CLAIM_COLUMNS)
     else:
-        with path.open() as fh:
-            for line_no, raw in enumerate(fh, start=1):
+        with closing(_lines(path)) as lines:
+            for line_no, raw in enumerate(lines, start=1):
                 if not raw.strip():
                     continue
                 try:
-                    obj = json.loads(raw)
+                    obj = json.loads(raw, parse_int=str, parse_float=str, parse_constant=str)
                 except json.JSONDecodeError as exc:
                     raise ParseError(f"invalid JSON in {path}: {exc.msg}", line=line_no) from exc
                 try:
-                    source, item, value = obj["source"], obj["item"], obj["value"]
+                    fields = obj["source"], obj["item"], obj["value"]
                 except (TypeError, KeyError):
                     raise ParseError(f"claims object needs source/item/value keys in {path}",
                                      line=line_no) from None
-                for name, field in (("source", source), ("item", item), ("value", value)):
-                    if field is None or isinstance(field, (list, dict)):
+                fields = tuple(json.dumps(f) if isinstance(f, bool) else f for f in fields)
+                for name, field in zip(("source", "item", "value"), fields):
+                    if not isinstance(field, str):
                         raise ParseError(f"claims {name} must be a scalar, got "
                                          f"{json.dumps(field)} in {path}", line=line_no)
-                    if isinstance(field, str) and not field.strip():
+                    if not field.strip():
                         raise ParseError(f"empty claims {name} in {path}", line=line_no)
-                yield source, item, value
+                yield fields
 
 
 def load_claims(path) -> Tuple[Dict[Any, ClaimSet], LoadReport]:
@@ -127,17 +148,24 @@ def _fmt(x: float) -> str:
     return format(x, ".6g")
 
 
-def write_probabilities(results: Mapping[Any, FusionResult], path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """Write the CSV file `path` as UTF-8: the `header` row, then `rows`."""
+    with Path(path).open("w", newline="", encoding=_WRITE_ENCODING) as fh:
         writer = csv.writer(fh)
-        writer.writerow(["item_id", "value", "probability", "selected"])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_probabilities(results: Mapping[Any, FusionResult], path) -> None:
+    def rows():
         for item in sorted(results, key=str):
             r = results[item]
             chosen = set(r.selected_truths)
             for value in sorted(r.probabilities, key=str):
-                writer.writerow([item, value, _fmt(r.probabilities[value]),
-                                 "true" if value in chosen else "false"])
+                yield (item, value, _fmt(r.probabilities[value]),
+                       "true" if value in chosen else "false")
+
+    _write_csv(path, ("item_id", "value", "probability", "selected"), rows())
 
 
 def write_run_summary(path, method: str, iterations: int,
@@ -146,51 +174,33 @@ def write_run_summary(path, method: str, iterations: int,
     payload = {
         "method": method,
         "iterations": iterations,
-        "source_qualities": {
-            str(s): {
-                "accuracy": q.accuracy,
-                "recall": q.recall,
-                "false_positive_rate": q.false_positive_rate,
-                "precision": q.precision,
-            }
-            for s, q in sorted(qualities.items(), key=lambda kv: str(kv[0]))
-        },
+        "source_qualities": {str(s): asdict(q) for s, q in
+                             sorted(qualities.items(), key=lambda kv: str(kv[0]))},
         "load_report": {
             "rows": report.n_rows,
             "claims": report.n_claims,
             "duplicates": report.n_duplicates,
         },
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                          encoding=_WRITE_ENCODING)
 
 
 def write_claims_csv(claims: Iterable[Claim], path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CLAIM_COLUMNS)
-        writer.writerows(claims)
+    _write_csv(path, CLAIM_COLUMNS, claims)
 
 
 def write_gold_csv(gold: GoldStandard, path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["item_id", "value"])
-        for item in sorted(gold.truths, key=str):
-            for value in sorted(gold.truths[item], key=str):
-                writer.writerow([item, value])
+    _write_csv(path, ("item_id", "value"),
+               ((item, value) for item in sorted(gold.truths, key=str)
+                for value in sorted(gold.truths[item], key=str)))
 
 
 def write_report_csv(rows, path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "grid_param", "grid_value",
-                         "precision", "recall", "f1", "n_reps"])
-        for row in rows:
-            writer.writerow([
-                row.method, row.grid_param,
-                "" if row.grid_value is None else row.grid_value,
-                _fmt(row.precision), _fmt(row.recall), _fmt(row.f1), row.n_reps,
-            ])
+    _write_csv(path, ("method", "grid_param", "grid_value", "precision", "recall", "f1", "n_reps"),
+               ((row.method, row.grid_param, "" if row.grid_value is None else row.grid_value,
+                 _fmt(row.precision), _fmt(row.recall), _fmt(row.f1), row.n_reps)
+                for row in rows))
 
 
 def load_predictions(path) -> Dict[Any, set]:

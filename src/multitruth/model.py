@@ -212,7 +212,8 @@ def prior_slot_count(prior: PriorConfig, candidate_count: int, i: int) -> int:
     "literal" counts the values not yet selected; "example-compatible"
     keeps one extra slot, reproducing the worked arithmetic the priors
     were calibrated against.  The two modes barely move the posterior
-    because the stop term is the only asymmetric one.
+    because the stop term is the only asymmetric one.  An array of
+    candidate counts gives an array of slot counts.
     """
     extra = 1 if prior.prior_mode == "example-compatible" else 0
     return candidate_count - i + 1 + extra

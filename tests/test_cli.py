@@ -1,6 +1,7 @@
 """Command-line interface: the synth -> fuse -> eval -> compare pipeline
 and argument validation."""
 
+import codecs
 import csv
 import dataclasses
 import json
@@ -15,6 +16,7 @@ from click.testing import CliRunner
 
 import multitruth
 from multitruth import InstanceTooLargeError, IterationConfig, PriorConfig, iterate
+from multitruth import cli
 from multitruth import io as mio
 from multitruth.synth import SynthConfig, compare, generate
 from multitruth.cli import _CONFIG_KEYS, _load_run_config, main
@@ -273,6 +275,11 @@ class TestFuseEval:
         assert result.exit_code == 2
         assert "invalid config" in result.output
 
+    def test_run_config_with_a_byte_order_mark(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(codecs.BOM_UTF8 + b'{"max_iterations": 2}')
+        assert _load_run_config(cfg, "hybrid")[2].max_iterations == 2
+
     def test_missing_claims_file(self, runner):
         result = runner.invoke(main, ["fuse", "--method", "hybrid",
                                       "--claims", "nope.csv", "--out", "o"])
@@ -365,13 +372,70 @@ class TestCompareSweep:
         assert [r["grid_value"] for r in rows] == ["0.2", "0.4", "0.6", "0.8", "1.0"]
 
 
-def _run_cli(*args, cwd):
-    """`python -m multitruth.cli` with `args` in a fresh process."""
+def _run_cli(*args, cwd, env=None):
+    """`python -m multitruth.cli` with `args` in a fresh process, with the
+    variables of `env` added to the environment."""
     src = str(Path(multitruth.__file__).resolve().parents[1])
     env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           **(env or {})}
     return subprocess.run([sys.executable, "-m", "multitruth.cli", *map(str, args)], env=env,
                           cwd=cwd, capture_output=True, text=True, timeout=120)
+
+
+def test_non_ascii_claims_in_the_c_locale(tmp_path):
+    # the C locale's encoding is ASCII, and PYTHONUTF8=0 keeps Python from
+    # switching to UTF-8 on its own; the files are UTF-8 all the same
+    claims = tmp_path / "claims.csv"
+    claims.write_bytes("source_id,item_id,value\ns1,d1,caf\u00e9\ns2,d1,caf\u00e9\n"
+                       "s2,d1,b\n".encode())
+    result = _run_cli("fuse", "--method", "hybrid", "--claims", claims, "--out", "fused",
+                      cwd=tmp_path, env={"LC_ALL": "C", "PYTHONUTF8": "0"})
+    assert result.returncode == 0, result.stderr
+    assert b"\r\nd1,caf\xc3\xa9," in (tmp_path / "fused.csv").read_bytes()
+
+
+class TestMissingOutputDirectory:
+    """An output whose directory is missing exits 2 while the options are
+    parsed: nothing is read, generated or written."""
+
+    @staticmethod
+    def _forbid(monkeypatch, owner, name):
+        def called(*args, **kwargs):
+            raise AssertionError(f"{name} ran before the output directory was checked")
+        monkeypatch.setattr(owner, name, called)
+
+    @staticmethod
+    def _refused(result, option, files):
+        assert result.exit_code == 2, result.output
+        assert f"Invalid value for '{option}': directory" in result.output
+        assert "nodir' does not exist" in result.output
+        assert [p.name for p in files] == []
+
+    def test_fuse(self, runner, tmp_path, monkeypatch):
+        claims = tmp_path / "claims.csv"
+        claims.write_text("source_id,item_id,value\ns1,d1,a\n")
+        self._forbid(monkeypatch, mio, "load_claims")
+        result = runner.invoke(main, ["fuse", "--method", "hybrid", "--claims", str(claims),
+                                      "--out", str(tmp_path / "nodir" / "fused")])
+        self._refused(result, "--out", tmp_path.glob("fused*"))
+
+    @pytest.mark.parametrize("missing", ["--out-claims", "--out-gold"])
+    def test_synth(self, runner, tmp_path, monkeypatch, missing):
+        self._forbid(monkeypatch, cli, "generate")
+        out = {"--out-claims": tmp_path / "claims.csv", "--out-gold": tmp_path / "gold.csv"}
+        out[missing] = tmp_path / "nodir" / "out.csv"
+        result = runner.invoke(main, ["synth", *(str(a) for kv in out.items() for a in kv)])
+        self._refused(result, missing, tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", [["compare", "--methods", "majority"],
+                                         ["sweep", "--figure", "extra"]],
+                             ids=["compare", "sweep"])
+    def test_compare_and_sweep(self, runner, tmp_path, monkeypatch, command):
+        self._forbid(monkeypatch, cli, "compare")
+        result = runner.invoke(main, [*command, "--reps", "1",
+                                      "--out", str(tmp_path / "nodir" / "report.csv")])
+        self._refused(result, "--out", tmp_path.iterdir())
 
 
 class TestBadCountsRefused:

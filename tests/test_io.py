@@ -1,5 +1,6 @@
 """File-format round trips and parse-error reporting."""
 
+import codecs
 import csv
 import json
 
@@ -76,6 +77,29 @@ class TestLoadClaims:
         with pytest.raises(ParseError, match=f"claims {field} must be a scalar.*line 2"):
             mio.load_claims(path)
 
+    def test_jsonl_numbers_and_booleans_read_as_text(self, tmp_path):
+        # kept as JSON values, 1 == True == 1.0 would collapse the first
+        # three spellings into one candidate
+        path = tmp_path / "claims.jsonl"
+        path.write_text('{"source": "s1", "item": "d", "value": 1}\n'
+                        '{"source": "s2", "item": "d", "value": true}\n'
+                        '{"source": "s3", "item": "d", "value": 1.0}\n'
+                        '{"source": "s4", "item": "d", "value": "1"}\n'
+                        '{"source": 7, "item": 2.50, "value": false}\n')
+        dataset, _ = mio.load_claims(path)
+        assert dataset["d"].candidates == {"1", "true", "1.0"}
+        assert sorted(s for s, vs in dataset["d"].per_source.items() if "1" in vs) == ["s1", "s4"]
+        assert dataset["2.50"].per_source == {"7": {"false"}}
+
+    def test_not_utf8_is_a_parse_error_naming_the_file(self, tmp_path):
+        # "caf\xe9" is Latin-1
+        for name, text in (("claims.csv", b"source_id,item_id,value\ns1,d1,caf\xe9\n"),
+                           ("claims.jsonl", b'{"source": "s1", "item": "d1", "value": "caf\xe9"}')):
+            path = tmp_path / name
+            path.write_bytes(text)
+            with pytest.raises(ParseError, match=f"{name} is not UTF-8"):
+                mio.load_claims(path)
+
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "claims.jsonl"
         path.write_text('{"source": "s1", "item": "d1", "value": "a"}\n{oops\n')
@@ -130,6 +154,22 @@ class TestGold:
         path.write_text('item_id,value\nd1,a\nd1,"  "\n')
         with pytest.raises(ParseError, match="malformed gold row.*line 3"):
             mio.load_gold(path)
+
+
+@pytest.mark.parametrize("name, text, load, want", [
+    ("claims.csv", "source_id,item_id,value\ns1,d1,a\n",
+     lambda path: mio.load_claims(path)[0]["d1"].per_source, {"s1": {"a"}}),
+    ("claims.jsonl", '{"source": "s1", "item": "d1", "value": "a"}\n',
+     lambda path: mio.load_claims(path)[0]["d1"].per_source, {"s1": {"a"}}),
+    ("gold.csv", "item_id,value\nd1,a\n", lambda path: mio.load_gold(path).truths, {"d1": {"a"}}),
+    ("pred.csv", "item_id,value,probability,selected\nd1,a,0.9,true\nd1,b,0.1,false\n",
+     mio.load_predictions, {"d1": {"a"}}),
+], ids=["claims-csv", "claims-jsonl", "gold", "predictions"])
+def test_byte_order_mark_is_not_part_of_the_first_field(tmp_path, name, text, load, want):
+    # spreadsheet programs save "CSV UTF-8" with a byte-order mark
+    path = tmp_path / name
+    path.write_bytes(codecs.BOM_UTF8 + text.encode())
+    assert load(path) == want
 
 
 class TestProbabilities:
