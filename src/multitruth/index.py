@@ -1,16 +1,17 @@
 """Flat, array-backed index of a dataset's claims, and the frame that
-both dataset passes run in.
+the dataset passes run in.
 
 `iterate` builds one per run and drives both halves of its loop from it:
 the fusion round, a `FusionRound` that every backend hands back (the
-dataset passes `approx.approx_fuse_round` and `exact.exact_fuse_round`,
-or the per-item calls of any other backend), and the quality update
+dataset passes of the registered backends -- `approx.approx_fuse_round`,
+`exact.exact_fuse_round` and the four in `baselines` -- or the per-item
+calls of a plain callable), and the quality update
 (`quality.source_metrics`), which reads the round's probability array.
-Both passes split the index into item ranges with `blocks`.  Everything
-is laid out in a fixed order -- items, sources and each item's
-candidates sorted by their `str`, and each (item, source) pair's values
-in candidate order -- so every sum over these arrays runs in an order
-that does not depend on the hash seed.
+The passes that pad their arrays split the index into item ranges with
+`blocks`.  Everything is laid out in a fixed order -- items, sources and
+each item's candidates sorted by their `str`, and each (item, source)
+pair's values in candidate order -- so every sum over these arrays runs
+in an order that does not depend on the hash seed.
 """
 
 from __future__ import annotations

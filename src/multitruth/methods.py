@@ -7,7 +7,16 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .approx import approx_fuse, approx_fuse_round
-from .baselines import accu_fuse, majority_vote, precrec_fuse, twostep_fuse
+from .baselines import (
+    accu_fuse,
+    accu_round,
+    majority_round,
+    majority_vote,
+    precrec_fuse,
+    precrec_round,
+    twostep_fuse,
+    twostep_round,
+)
 from .exact import exact_fuse, exact_fuse_round
 from .quality import FusionBackend, IterationConfig
 
@@ -38,10 +47,10 @@ FUSION_BACKENDS: dict[str, FusionBackend] = {
     "hybrid": DatasetBackend(approx_fuse, approx_fuse_round),
     # on the qualities `iterate` clamps once per round
     "hybrid-exact": DatasetBackend(exact_fuse, exact_fuse_round),
-    "accu": _accu,
-    "precrec": precrec_fuse,
-    "twostep": twostep_fuse,
-    "majority": _majority,
+    "accu": DatasetBackend(_accu, accu_round),
+    "precrec": DatasetBackend(precrec_fuse, precrec_round),
+    "twostep": DatasetBackend(twostep_fuse, twostep_round),
+    "majority": DatasetBackend(_majority, majority_round),
 }
 
 

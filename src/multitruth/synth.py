@@ -213,9 +213,10 @@ def compare(methods: Sequence[str], config: SynthConfig,
     at each point of a parameter sweep) and report mean metrics.
 
     Repetitions run with independent derived seeds, so results do not
-    depend on the thread count.  One thread is the default: the work is
-    pure Python that holds the interpreter lock, so more threads only add
-    switching.
+    depend on the thread count.  One thread is the default: most of the
+    time goes to Python code that holds the interpreter lock (generating
+    the data, building each `ClaimIndex`) and to numpy calls on arrays
+    too small to release it for long, so more threads only add switching.
     """
     if not methods:
         raise ValueError("need at least one method")

@@ -4,8 +4,10 @@ independent per-value odds, and count-then-pick."""
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -30,7 +32,10 @@ from multitruth import (
     twostep_fuse,
 )
 from multitruth import baselines
-from multitruth.methods import FUSION_BACKENDS, fusion_backend
+from multitruth.index import ClaimIndex
+from multitruth.methods import FUSION_BACKENDS, fusion_backend, method_iteration_config
+from multitruth.model import claims_by_item
+from multitruth.synth import SynthConfig, generate, truth_count_distribution
 
 from conftest import random_instance
 
@@ -236,8 +241,8 @@ def test_source_without_quality_is_a_typed_error(engine):
 # The per-(value, source) loops the baselines ran on an inverse index
 # value -> providers, kept as the reference for the per-source rewrite.
 # The index held frozensets, whose order follows the hash seed; here each
-# value's providers come in the item's source order, so the reference
-# multiplies in one fixed order that differs from the rewrite's sorted one.
+# value's providers come in the item's source order, and the precrec
+# reference multiplies in sorted source order, as `precrec_fuse` does.
 _CLAMP = 1e-6
 
 
@@ -287,7 +292,7 @@ def reference_precrec(claims, qualities, prior):
     probabilities = {}
     for v in claims.candidates:
         odds = alpha / (1.0 - alpha)
-        for s in claims.per_source:
+        for s in sorted(claims.per_source, key=str):
             q = qualities[s]
             r = min(max(q.recall, _CLAMP), 1.0 - _CLAMP)
             fp = min(max(q.false_positive_rate, _CLAMP), 1.0 - _CLAMP)
@@ -389,3 +394,168 @@ def test_accu_and_twostep_finite_with_many_sources():
             assert all(math.isfinite(p) and 0.0 <= p <= 1.0 for p in probabilities.values())
             assert probabilities["a"] == 1.0, line
             assert selected == ["a"], line
+
+
+# ---- dataset rounds ---------------------------------------------------
+
+BASELINES = ("accu", "majority", "precrec", "twostep")
+
+
+def _per_item(backend):
+    """`backend` as a plain callable, which `iterate` calls item by item."""
+    return lambda claims, qualities, prior: backend(claims, qualities, prior)
+
+
+def _synth_dataset(cfg, junk=False):
+    """A generated dataset, with a `junk` source giving a value of its own
+    on every item if asked, and the prior it is fused with."""
+    claims, _ = generate(cfg)
+    if junk:
+        claims += [("junk", item, "junk") for item in sorted({c.item_id for c in claims})]
+    return claims_by_item(claims), PriorConfig(truth_count_dist=truth_count_distribution(cfg))
+
+
+def _both_paths(method, dataset, prior, max_iterations=5):
+    """`iterate` through the registered backend and through its per-item
+    half; asserts their `repr`s are equal and returns the first."""
+    backend = fusion_backend(method)
+    config = method_iteration_config(method, IterationConfig(max_iterations=max_iterations))
+    out = iterate(dataset, prior, backend, config)
+    reference = iterate(dataset, prior, _per_item(backend), config)
+    for item, result in out[0].items():  # short reprs, for a readable failure
+        assert repr(result) == repr(reference[0][item])
+    assert repr(out) == repr(reference)
+    return out
+
+
+@pytest.fixture(scope="module")
+def hybrid_data_with_junk():
+    return _synth_dataset(SynthConfig(num_items=1000, rng_seed=1), junk=True)
+
+
+def _case_datasets(size=25):
+    """`_differential_cases` as datasets of `size` items, each case's
+    sources renamed after it so that every case keeps its own qualities;
+    a case's restriction is kept as its item's candidates."""
+    cases = list(_differential_cases())
+    for lo in range(0, len(cases), size):
+        dataset, qualities = {}, {}
+        for i, (claims, case_qualities, _) in enumerate(cases[lo:lo + size], lo):
+            dataset[f"item{i:03d}"] = ClaimSet(
+                item_id=f"item{i:03d}", candidates=claims.candidates,
+                per_source={f"c{i:03d}-{s}": vs for s, vs in claims.per_source.items()})
+            qualities.update((f"c{i:03d}-{s}", q) for s, q in case_qualities.items())
+        yield dataset, qualities, cases[lo][2]
+
+
+class TestDatasetRounds:
+    """Each baseline's dataset round gives the `repr` of its per-item
+    function, item by item."""
+
+    @pytest.mark.parametrize("method", BASELINES)
+    def test_compare_data(self, method):
+        for seed in range(1, 7):
+            _both_paths(method, *_synth_dataset(SynthConfig(num_items=100, rng_seed=seed)))
+
+    @pytest.mark.parametrize("method", BASELINES)
+    def test_hybrid_data_with_a_junk_source(self, method, hybrid_data_with_junk):
+        _, _, records = _both_paths(method, *hybrid_data_with_junk)
+        # junk fails the good-source test, so later rounds pass `active`;
+        # under majority its accuracy (about 0.15) stays above 1/(n+1)
+        if method != "majority":
+            assert any(r.source == "junk" and not r.good for r in records)
+
+    @pytest.mark.parametrize("method", BASELINES)
+    @pytest.mark.parametrize("lone_source", ["s1", "s3"])
+    @pytest.mark.parametrize("max_iterations", [0, 3])
+    def test_items_without_an_active_source(self, method, lone_source, max_iterations):
+        _both_paths(method, _no_source_dataset(lone_source), PriorConfig(), max_iterations)
+
+    @pytest.mark.parametrize("method", BASELINES)
+    def test_no_quality_update(self, method):
+        _both_paths(method, *_synth_dataset(SynthConfig(num_items=100, rng_seed=1)),
+                    max_iterations=0)
+
+    @pytest.mark.parametrize("method", BASELINES)
+    def test_differential_cases(self, method):
+        # shuffled sources, restricted items, and qualities of 0 or 1
+        backend = fusion_backend(method)
+        rng = random.Random(20)
+        for dataset, qualities, prior in _case_datasets():
+            _both_paths(method, dataset, prior)
+            index = ClaimIndex(dataset)
+            for active in (None, {s for s in index.sources if rng.random() < 0.7}):
+                fused = backend.fuse_dataset(index, qualities, prior, active).results()
+                per_item = {item: backend(dataset[item] if active is None
+                                          else dataset[item].restrict(active), qualities, prior)
+                            for item in index.items}
+                assert repr(fused) == repr(per_item)
+
+    @pytest.mark.parametrize("method", BASELINES)
+    def test_inactive_source_needs_no_quality(self, method):
+        cs = ClaimSet.from_claims("d", {"s1": ["a"], "s2": ["b"]})
+        index = ClaimIndex({"d": cs})
+        backend = fusion_backend(method)
+        fused = backend.fuse_dataset(index, {"s1": Q6}, PriorConfig(), {"s1"}).results()
+        assert repr(fused) == repr({"d": backend(cs.restrict({"s1"}), {"s1": Q6}, PriorConfig())})
+        if method != "majority":
+            with pytest.raises(UnknownSourceError, match="'s2'"):
+                backend.fuse_dataset(index, {"s1": Q6}, PriorConfig())
+
+    @pytest.mark.parametrize("method", BASELINES)
+    def test_exact_ties(self, method):
+        # a truth-count tie that only exactly rounded sums find (see
+        # TestTwoStep), and a precrec probability of exactly 0.5, on an
+        # item with no active source at alpha 0.5, which is not selected
+        accuracies = {"s0": 0.3, "s1": 0.9, "s2": 0.3, "s3": 0.3, "s4": 0.3, "s5": 0.9}
+        dataset = {"d": ClaimSet.from_claims("d", {s: ["a"] if s < "s3" else ["a", "b"]
+                                                   for s in accuracies}),
+                   "e": ClaimSet.from_claims("e", {"off": ["x", "y"]})}
+        qualities = {s: SourceQuality(accuracy=a, recall=0.7, false_positive_rate=0.1)
+                     for s, a in accuracies.items()}
+        prior = PriorConfig(alpha=0.5)
+        backend = fusion_backend(method)
+        fused = backend.fuse_dataset(ClaimIndex(dataset), qualities, prior,
+                                     set(accuracies)).results()
+        assert repr(fused) == repr({item: backend(cs.restrict(accuracies), qualities, prior)
+                                    for item, cs in dataset.items()})
+        if method == "twostep":
+            assert fused["d"].diagnostics.notes == [
+                "truth-count tie among [1, 2]; selected smallest k=1"]
+        if method == "precrec":
+            assert fused["e"].probabilities == {"x": 0.5, "y": 0.5}
+            assert fused["e"].selected_truths == []
+
+    @pytest.mark.parametrize("method", BASELINES)
+    def test_many_agreeing_sources_and_one_dissenter(self, method):
+        # the odds of 'a' overflow in precrec; nothing may warn about it
+        psi = {f"s{i:04d}": ["a"] for i in range(1000)}
+        psi["dissent"] = ["b"]
+        index = ClaimIndex({"d": ClaimSet.from_claims("d", psi)})
+        q = SourceQuality(accuracy=0.9, recall=0.9, false_positive_rate=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fused = fusion_backend(method).fuse_dataset(index, dict.fromkeys(psi, q),
+                                                        PriorConfig())
+            result = fused.results()["d"]
+        assert np.isfinite(fused.probabilities).all()
+        assert result.selected_truths == ["a"]
+
+
+@pytest.mark.parametrize("path", ["registered", "per-item"])
+@pytest.mark.parametrize("method", sorted(FUSION_BACKENDS))
+def test_row_order_does_not_change_the_output(method, path):
+    # precrec multiplied its odds in the order the sources first appeared
+    # in the rows, which changed the last bit of some probabilities
+    cfg = SynthConfig(num_items=200, rng_seed=3, truth_count_max=2, false_domain_size=4,
+                      extra_ratio=0.6)
+    claims, _ = generate(cfg)
+    rows = list(claims)
+    random.Random(0).shuffle(rows)
+    prior = PriorConfig(truth_count_dist=truth_count_distribution(cfg))
+    backend = fusion_backend(method)
+    if path == "per-item":
+        backend = _per_item(backend)
+    config = method_iteration_config(method, IterationConfig())
+    assert repr(iterate(claims_by_item(claims), prior, backend, config)) == \
+        repr(iterate(claims_by_item(rows), prior, backend, config))

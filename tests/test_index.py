@@ -1,4 +1,4 @@
-"""The frame both dataset passes run in: the shared block splitter and
+"""The frame the dataset passes run in: the shared block splitter and
 the round each pass hands back."""
 
 import numpy as np
@@ -6,6 +6,7 @@ import pytest
 
 from multitruth import PriorConfig
 from multitruth.approx import approx_fuse_round
+from multitruth.baselines import accu_round, majority_round, precrec_round, twostep_round
 from multitruth.exact import exact_fuse_round
 from multitruth.index import ClaimIndex, blocks
 
@@ -36,8 +37,9 @@ def test_blocks_cover_items_within_budget():
     assert alone >= 100
 
 
-@pytest.mark.parametrize("fuse_round", [approx_fuse_round, exact_fuse_round],
-                         ids=["approx", "exact"])
+@pytest.mark.parametrize("fuse_round", [approx_fuse_round, exact_fuse_round, accu_round,
+                                        majority_round, precrec_round, twostep_round],
+                         ids=["approx", "exact", "accu", "majority", "precrec", "twostep"])
 def test_empty_index_gives_an_empty_round(fuse_round):
     fused = fuse_round(ClaimIndex({}), {}, PriorConfig())
     assert fused.probabilities.shape == (0,)
