@@ -152,21 +152,17 @@ def _run_steps(votes: Mapping[Any, float], bot_at: Callable[[int], float],
     )
 
 
-def _log_terms(qualities: Mapping[Any, SourceQuality], sources: Iterable[Any],
-               n: int) -> Dict[Any, Tuple[float, float, float]]:
-    """Per-source log terms of the votes, from the clamped quality; the
+def _log_terms(quality: SourceQuality, n: int) -> Tuple[float, float, float]:
+    """A source's log terms of the votes, from its clamped quality; the
     hybrid's only clamp site.
 
     Returns (log n*A/(1-A), the log stop term while the source provided
     more values than are selected, the log stop term once it did not)."""
-    terms = {}
-    for s in sources:
-        q = quality_of(qualities, s).clamped()
-        a, r, f = q.accuracy, q.recall, q.false_positive_rate
-        terms[s] = (math.log(n * a / (1.0 - a)),
-                    math.log(f / (r * (1.0 - a))),
-                    math.log((1.0 - f) / (1.0 - r)))
-    return terms
+    q = quality.clamped()
+    a, r, f = q.accuracy, q.recall, q.false_positive_rate
+    return (math.log(n * a / (1.0 - a)),
+            math.log(f / (r * (1.0 - a))),
+            math.log((1.0 - f) / (1.0 - r)))
 
 
 def _log_prior_odds(prior: PriorConfig, i: int) -> float:
@@ -194,7 +190,7 @@ def approx_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
     this raises `FusionError`; `approx_fuse_round` normalises each step
     on its own and does not."""
     sources = sorted(claims.per_source, key=str)
-    terms = _log_terms(qualities, sources, prior.n)
+    terms = {s: _log_terms(quality_of(qualities, s), prior.n) for s in sources}
     log_votes = dict.fromkeys(claims.candidates, 0.0)
     for s in sources:
         for v in claims.per_source[s]:
@@ -231,15 +227,8 @@ def approx_fuse_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
     most BLOCK_CELLS (items x candidates) cells."""
     if not len(index):
         return FusionRound(np.zeros(0), dict)
-    mask = index.source_mask(active)
-    terms = _log_terms(qualities, [s for s, on in zip(index.sources, mask) if on], prior.n)
-    # an inactive source's terms are 0, which leaves every sum it enters
-    # exactly as if it were skipped
-    source_terms = np.zeros((len(index.sources), 3))
-    for j, s in enumerate(index.sources):
-        if mask[j]:
-            source_terms[j] = terms[s]
-    pair_terms = source_terms[index.pair_source]
+    pair_terms = index.source_terms(qualities, active, partial(_log_terms, n=prior.n),
+                                    (0.0, 0.0, 0.0))[index.pair_source]
 
     width = int(index.cand_count.max())
     log_odds = np.array([0.0] + [_log_prior_odds(prior, i) for i in range(1, width + 1)])

@@ -35,7 +35,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 import numpy as np
 
 from .errors import DegenerateEvidenceError, InstanceTooLargeError
-from .index import ClaimIndex, FusionRound, blocks
+from .index import ClaimIndex, FusionRound, above_half_results, blocks
 from .likelihood import LOG_ZERO, category_log_probs, category_probs, joint_likelihood
 # unused, but bench/tracing.py wraps `exact.source_likelihood` by name
 from .likelihood import source_likelihood  # noqa: F401
@@ -49,7 +49,6 @@ from .model import (
     VoteCountFixture,
     beta_at,
     prior_slot_count,
-    quality_of,
     sort_values,
 )
 
@@ -233,11 +232,8 @@ def exact_fuse_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
                 f"> cap {CANDIDATE_CAP}); use the approximation")
     if not len(index):
         return FusionRound(np.zeros(0), dict)
-    on = index.source_mask(active)
-    log_probs = np.zeros((len(index.sources), 5))
-    for s in np.flatnonzero(on).tolist():
-        log_probs[s] = category_log_probs(category_probs(
-            quality_of(qualities, index.sources[s]), prior.n))
+    log_probs = index.source_terms(
+        qualities, active, lambda q: category_log_probs(category_probs(q, prior.n)), (0.0,) * 5)
 
     # the active pairs, item by item and in source order within an item,
     # each with the values it provides as a bitmask over its item's
@@ -245,7 +241,7 @@ def exact_fuse_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
     claim_bit = index.claim_cand - index.cand_start[index.pair_item[index.claim_pair]]
     provided = np.add.reduceat(np.left_shift(1, claim_bit, dtype=np.int64),
                                np.cumsum(index.pair_size) - index.pair_size)
-    pairs = np.flatnonzero(on[index.pair_source])
+    pairs = np.flatnonzero(index.source_mask(active)[index.pair_source])
     pair_item, provided = index.pair_item[pairs], provided[pairs]
     n_pairs = np.bincount(pair_item, minlength=len(index))
     pair_at = np.concatenate(([0], np.cumsum(n_pairs)))
@@ -273,31 +269,7 @@ def exact_fuse_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
         if bad is not None:
             raise _degenerate(index.item_ids[lo + bad])
         totals[cand_start[lo]:cand_start[hi]] = block
-    return FusionRound(totals, partial(_results, index, totals))
-
-
-def _results(index: ClaimIndex, totals: np.ndarray) -> Dict[Any, FusionResult]:
-    """Every item's `FusionResult` from a round's probabilities in
-    candidate order; an item's run in token order, and values with
-    probability above 0.5 are selected."""
-    probs = totals.tolist()
-    bounds = index.cand_start.tolist()
-    return {index.items[d]: _result(index.item_ids[d], index.tokens[c0:c1], probs[c0:c1],
-                                    "hybrid-exact")
-            for d, (c0, c1) in enumerate(zip(bounds, bounds[1:]))}
-
-
-def _result(item_id: Any, values: Sequence[Any], probs: Sequence[float],
-            method: str) -> FusionResult:
-    """One item's `FusionResult` from its `values` and their exact
-    `probs`; the values with probability above 0.5 are selected."""
-    probabilities = dict(zip(values, probs))
-    return FusionResult(
-        item_id=item_id,
-        probabilities=probabilities,
-        selected_truths=sort_values({v: p for v, p in probabilities.items() if p > 0.5}),
-        diagnostics=FusionDiagnostics(method=method),
-    )
+    return FusionRound(totals, partial(above_half_results, index, "hybrid-exact", totals))
 
 
 def _cells(log_probs: np.ndarray, n_provided: np.ndarray, prior: PriorConfig,
@@ -406,4 +378,10 @@ def exact_fuse_from_votes(fixture: VoteCountFixture) -> FusionResult:
     totals, bad = _enumerate(np.array([len(values)]), cond)
     if bad is not None:
         raise DegenerateEvidenceError("degenerate votes: zero denominator")
-    return _result(None, values, totals.tolist(), "hybrid-exact-votes")
+    probabilities = dict(zip(values, totals.tolist()))
+    return FusionResult(
+        item_id=None,
+        probabilities=probabilities,
+        selected_truths=sort_values({v: p for v, p in probabilities.items() if p > 0.5}),
+        diagnostics=FusionDiagnostics(method="hybrid-exact-votes"),
+    )

@@ -7,21 +7,25 @@ dataset passes of the registered backends -- `approx.approx_fuse_round`,
 `exact.exact_fuse_round` and the four in `baselines` -- or the per-item
 calls of a plain callable), and the quality update
 (`quality.source_metrics`), which reads the round's probability array.
-The passes that pad their arrays split the index into item ranges with
-`blocks`.  Everything is laid out in a fixed order -- items, sources and
-each item's candidates sorted by their `str`, and each (item, source)
-pair's values in candidate order -- so every sum over these arrays runs
-in an order that does not depend on the hash seed.
+The frame the passes share lives here: each source's terms
+(`ClaimIndex.source_terms`), each item's ranking, and the result objects
+(`item_results`, `above_half_results`), which every pass but the
+approximation's builds through.  The two engines, which pad their
+arrays, split the index into item ranges with `blocks`.  Everything is
+laid out in a fixed order -- items, sources and each item's candidates
+sorted by their `str`, and each (item, source) pair's values in
+candidate order -- so every sum over these arrays runs in an order that
+does not depend on the hash seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import ClaimSet, FusionResult
+from .model import ClaimSet, FusionDiagnostics, FusionResult, SourceQuality, quality_of
 
 
 class ClaimIndex:
@@ -87,6 +91,22 @@ class ClaimIndex:
             return np.ones(len(self.sources), dtype=bool)
         return np.array([s in active for s in self.sources], dtype=bool)
 
+    def source_terms(self, qualities: Mapping[Any, SourceQuality], active: Optional[Iterable[Any]],
+                     term: Callable[[SourceQuality], Any], neutral: Any) -> np.ndarray:
+        """`term` of every source's quality, one row per source in source
+        order: a float, or a row of floats where `term` gives a tuple.  A
+        source outside `active` (every source is active when it is None)
+        needs no quality and gets `neutral`, which leaves every sum or
+        product it enters as if the source were skipped."""
+        rows = [term(quality_of(qualities, s)) if on else neutral
+                for s, on in zip(self.sources, self.source_mask(active))]
+        return np.array(rows, dtype=float).reshape((len(rows),) + np.shape(neutral))
+
+    def ranking(self, probabilities: np.ndarray) -> np.ndarray:
+        """Each item's candidates by decreasing probability, then token
+        (`model.sort_values`), item after item."""
+        return np.lexsort((-probabilities, self.cand_item))
+
     def candidate_probabilities(self, results: Mapping[Any, FusionResult]) -> np.ndarray:
         """Each candidate's probability in `results` (item -> result), in
         candidate order; 0 where an item's result leaves a candidate out."""
@@ -106,6 +126,35 @@ class FusionRound:
 
     probabilities: np.ndarray
     results: Callable[[], Dict[Any, FusionResult]]
+
+
+def item_results(index: ClaimIndex, method: str, probabilities: np.ndarray, ranked: np.ndarray,
+                 n_selected: Sequence[int],
+                 notes: Mapping[int, List[str]]) -> Dict[Any, FusionResult]:
+    """Every item's `FusionResult`: its probabilities in candidate order,
+    the first `n_selected[d]` of its candidates in `ranked` order as its
+    truths, and `notes[d]` (none if absent) as its notes."""
+    tokens, probs = index.tokens, probabilities.tolist()
+    ranked_tokens = [tokens[g] for g in ranked.tolist()]
+    bounds = index.cand_start.tolist()
+    results: Dict[Any, FusionResult] = {}
+    for d, (a, b, k) in enumerate(zip(bounds, bounds[1:], n_selected)):
+        results[index.items[d]] = FusionResult(
+            item_id=index.item_ids[d],
+            probabilities=dict(zip(tokens[a:b], probs[a:b])),
+            selected_truths=ranked_tokens[a:a + min(k, b - a)],
+            diagnostics=FusionDiagnostics(method=method, notes=list(notes.get(d, ()))),
+        )
+    return results
+
+
+def above_half_results(index: ClaimIndex, method: str,
+                       probabilities: np.ndarray) -> Dict[Any, FusionResult]:
+    """`item_results` with the values of probability above 0.5 selected;
+    they lead each item's ranking."""
+    n_selected = np.bincount(index.cand_item, weights=probabilities > 0.5, minlength=len(index))
+    return item_results(index, method, probabilities, index.ranking(probabilities),
+                        n_selected.astype(int).tolist(), {})
 
 
 def blocks(rows: Sequence[int], cols: Sequence[int], budget: int) -> Iterator[Tuple[int, int]]:

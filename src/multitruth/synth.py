@@ -69,7 +69,7 @@ class SynthConfig:
         # the extras
         slots = self.truth_count_max
         if self.truth_count_std == 0:
-            slots = min(max(_round_half_up(self.truth_count_mean), self.truth_count_min), slots)
+            slots = _truth_count(self, self.truth_count_mean)
         covered = slots if self.source_recall > 0 else 0
         most = (covered if self.source_accuracy < 1 else 0) + _round_half_up(
             self.extra_ratio * covered)
@@ -83,6 +83,11 @@ def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
 
+def _truth_count(config: SynthConfig, x: float) -> int:
+    """`x` rounded half up and clipped to the configured truth counts."""
+    return min(max(_round_half_up(x), config.truth_count_min), config.truth_count_max)
+
+
 def truth_count_distribution(config: SynthConfig) -> Dict[int, float]:
     """Discrete distribution induced by rounding and clipping the
     Gaussian truth count; feeds the fusion prior.  At standard deviation
@@ -90,7 +95,7 @@ def truth_count_distribution(config: SynthConfig) -> Dict[int, float]:
     `generate` then draws for every item."""
     lo, hi = config.truth_count_min, config.truth_count_max
     if config.truth_count_std == 0:
-        count = min(max(_round_half_up(config.truth_count_mean), lo), hi)
+        count = _truth_count(config, config.truth_count_mean)
         return {k: float(k == count) for k in range(lo, hi + 1)}
     nd = NormalDist(config.truth_count_mean, config.truth_count_std)
     dist = {}
@@ -127,9 +132,7 @@ def generate(config: SynthConfig) -> Tuple[List[Claim], GoldStandard]:
     gold: Dict[Any, set] = {}
     for idx in range(config.num_items):
         item = f"i{idx:04d}"
-        k = min(max(_round_half_up(rng.normal(config.truth_count_mean,
-                                              config.truth_count_std)),
-                    config.truth_count_min), config.truth_count_max)
+        k = _truth_count(config, rng.normal(config.truth_count_mean, config.truth_count_std))
         truths = [f"{item}_t{j}" for j in range(k)]
         gold[item] = set(truths)
         for sdx in range(config.num_sources):

@@ -477,6 +477,16 @@ class TestDatasetRounds:
                     max_iterations=0)
 
     @pytest.mark.parametrize("method", BASELINES)
+    def test_one_item_with_a_thousand_sources(self, method):
+        # items of about 10 sources and, sorted among them, one of 1000:
+        # precrec's steps past pair rank 10 multiply that item's odds alone
+        dataset, prior = _synth_dataset(SynthConfig(num_items=100, rng_seed=1))
+        dataset["i0050b"] = ClaimSet.from_claims("i0050b", {
+            f"x{j:04d}": [f"v{j % 7}"] + ([f"w{j % 3}"] if j % 4 == 0 else [])
+            for j in range(1000)})
+        _both_paths(method, dataset, prior)
+
+    @pytest.mark.parametrize("method", BASELINES)
     def test_differential_cases(self, method):
         # shuffled sources, restricted items, and qualities of 0 or 1
         backend = fusion_backend(method)

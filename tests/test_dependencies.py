@@ -1,7 +1,9 @@
 """The declared dependency floor holds: the package calls no numpy
-function newer than the `numpy>=` floor in pyproject.toml, and fusion
-imports no numpy submodule it does not need."""
+function newer than the `numpy>=` floor in pyproject.toml, fusion
+imports no numpy submodule it does not need, and no module imports a
+name it never uses."""
 
+import ast
 import os
 import re
 import subprocess
@@ -62,3 +64,33 @@ def test_fusion_does_not_import_numpy_ma():
     done = subprocess.run([sys.executable, "-c", NUMPY_MA_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout.strip() == "False"
+
+
+def unused_imports(source: str):
+    """Names a module imports at its top level and never reads, nor lists
+    in `__all__`; imports marked `# noqa: F401` and `__future__` are
+    skipped."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    unused = []
+    for node in tree.body:
+        if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                or isinstance(node, ast.ImportFrom) and node.module == "__future__"
+                or "# noqa: F401" in "\n".join(lines[node.lineno - 1:node.end_lineno])):
+            continue
+        unused += [name for name in ((a.asname or a.name).split(".")[0] for a in node.names)
+                   if name not in used]
+    return unused
+
+
+def test_every_module_level_import_is_used():
+    assert unused_imports("import os\nfrom typing import Any, List\nx: List = os.sep\n") == ["Any"]
+    assert unused_imports("import os.path\nimport re  # noqa: F401\n__all__ = ['os']\n") == []
+    unused = {path.name: unused_imports(path.read_text(encoding="utf-8"))
+              for path in sorted((ROOT / "src" / "multitruth").glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}

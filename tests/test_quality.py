@@ -24,7 +24,6 @@ from multitruth import (
     update_precision,
     update_recall,
 )
-from multitruth import approx, exact
 from multitruth.index import ClaimIndex
 from multitruth.methods import fusion_backend
 from multitruth.model import FusionDiagnostics, claims_by_item, Claim
@@ -322,18 +321,20 @@ def test_exact_iterate_independent_of_hash_seed():
     assert outputs[0].count("FusionResult(") == 150
 
 
-@pytest.mark.parametrize("method, engine", [("hybrid", approx), ("hybrid-exact", exact)],
-                         ids=["hybrid", "hybrid-exact"])
-def test_iterate_builds_each_result_once(monkeypatch, method, engine):
+@pytest.mark.parametrize("method", ["hybrid", "hybrid-exact", "accu", "majority", "precrec",
+                                    "twostep"])
+def test_iterate_builds_each_result_once(monkeypatch, method):
     # a round hands the quality update an array; only the last round's
-    # results become objects
+    # results become objects, which approx builds itself and every other
+    # round through `index`
+    builder = "multitruth.approx" if method == "hybrid" else "multitruth.index"
     built = []
 
     def counted(*args, **kwargs):
         built.append(kwargs["item_id"])
         return FusionResult(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "FusionResult", counted)
+    monkeypatch.setattr(f"{builder}.FusionResult", counted)
     cfg = SynthConfig(num_items=40, truth_count_max=2, false_domain_size=4, extra_ratio=0.6,
                       rng_seed=3)
     dataset = claims_by_item(generate(cfg)[0])
