@@ -153,8 +153,8 @@ def _run_steps(votes: Mapping[Any, float], bot_at: Callable[[int], float],
 
 
 def _log_terms(quality: SourceQuality, n: int) -> Tuple[float, float, float]:
-    """A source's log terms of the votes, from its clamped quality; the
-    hybrid's only clamp site.
+    """A source's log terms of the votes, from its clamped quality; one
+    that `iterate` already clamped, once per round, passes unchanged.
 
     Returns (log n*A/(1-A), the log stop term while the source provided
     more values than are selected, the log stop term once it did not)."""

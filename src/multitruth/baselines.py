@@ -2,107 +2,72 @@
 truth, independent per-value precision/recall odds, and the two-step
 count-then-pick baseline.
 
-Each method fuses one item (`majority_vote`, `accu_fuse`, `precrec_fuse`,
-`twostep_fuse`) and, as `majority_round`, `accu_round`, `precrec_round`
-and `twostep_round`, every item of a `ClaimIndex` at once, which is what
-`iterate` uses.  A round takes each sum, product and maximum over the
-index arrays in the order the per-item function takes it, and its logs
-and exponentials with `math`, so both give the same floats; it returns
-an `index.FusionRound` whose `results()` builds the result objects
-through `index.item_results`.  `twostep_round` decides each item's truth
-count with `twostep_fuse`'s own rule (`_twostep_k`).
+Each method is one dataset round -- `majority_round`, `accu_round`,
+`precrec_round` and `twostep_round` -- which fuses every item of a
+`ClaimIndex` at once, as `iterate` uses it, and returns an
+`index.FusionRound` whose `results()` builds the result objects through
+`index.item_results`.  The per-item functions (`majority_vote`,
+`accu_fuse`, `precrec_fuse`, `twostep_fuse`) are that round on a
+one-item index (`index.fuse_one`), not a second body.  A round takes
+each sum over the claims in source order, its logs and exponentials
+with `math` and each item's normalising sum with `math.fsum`, so an
+item's floats do not depend on the other items of its round.
+`twostep_round` decides each item's truth count when its results are
+built (`_twostep_k`).
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from functools import partial
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .index import ClaimIndex, FusionRound, above_half_results, item_results
-from .model import (
-    ClaimSet,
-    FusionDiagnostics,
-    FusionResult,
-    PriorConfig,
-    SourceQuality,
-    clamp,
-    quality_of,
-    sort_values,
-)
-
-log = logging.getLogger(__name__)
-
-def _tie_note(ties: List[Any]) -> str:
-    return f"tie among {ties}; selected {ties[0]!r} lexicographically"
+from .index import ClaimIndex, FusionRound, above_half_results, fuse_one, item_results
+from .model import ClaimSet, FusionResult, PriorConfig, SourceQuality, clamp
 
 
 def majority_vote(claims: ClaimSet) -> FusionResult:
     """Single truth = the value with the most providers; the reported
     per-value numbers are provider counts scaled by the winner's count
-    (diagnostic only, not calibrated; all 1 when no source is active)."""
-    counts = dict.fromkeys(sorted(claims.candidates, key=str), 0)
-    for values in claims.per_source.values():
-        for v in values:
-            counts[v] += 1
-    top = max(counts.values())
-    winners = sorted((v for v, c in counts.items() if c == top), key=str)
-    diag = FusionDiagnostics(method="majority")
-    if not claims.per_source:
-        diag.notes.append(f"no active source provided item {claims.item_id!r}")
-    if len(winners) > 1:
-        diag.notes.append(_tie_note(winners))
-        log.debug("majority tie on item %r: %s", claims.item_id, winners)
-    return FusionResult(
-        item_id=claims.item_id,
-        probabilities={v: c / top if top else 1.0 for v, c in counts.items()},
-        selected_truths=[winners[0]],
-        diagnostics=diag,
-    )
+    (diagnostic only, not calibrated; all 1 when no source is active).
+    `majority_round` on one item; it reads no quality and no prior."""
+    return fuse_one(majority_round, claims, {}, PriorConfig())
+
+
+def accu_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality], n: int) -> FusionResult:
+    """Single-truth fusion: normalize accuracy vote counts over all
+    provided values; exactly one truth is selected.  `accu_round` on one
+    item, at false-domain size `n` (an integer of at least 1)."""
+    return fuse_one(accu_round, claims, qualities, PriorConfig(n=n))
+
+
+def precrec_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
+                 prior: PriorConfig) -> FusionResult:
+    """Independent per-value decision from posterior odds: providers
+    contribute R/Q, item sources that abstain contribute (1-R)/(1-Q),
+    multiplied in source order; a value is true when its probability
+    clears 0.5.  `precrec_round` on one item."""
+    return fuse_one(precrec_round, claims, qualities, prior)
+
+
+def twostep_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
+                 prior: PriorConfig) -> FusionResult:
+    """Decide the number of truths k by single-truth fusion, in log-odds, over
+    the per-source value counts, then select the k values ranked highest by
+    single-truth fusion over the real values.  `twostep_round` on one item."""
+    return fuse_one(twostep_round, claims, qualities, prior)
+
+
+def _tie_note(ties: List[Any]) -> str:
+    return f"tie among {ties}; selected {ties[0]!r} lexicographically"
 
 
 def _log_accuracy_term(quality: SourceQuality, n: int) -> float:
     """A source's log n*A/(1-A), from its clamped accuracy."""
     a = clamp(quality.accuracy)
     return math.log(n * a / (1.0 - a))
-
-
-def _accuracy_votes(claims: ClaimSet, qualities: Mapping[Any, SourceQuality], n: int):
-    """Each value's vote: the sum of log n*A/(1-A) over its providers, in
-    source order, exponentiated after a shift by the largest, so that no
-    number of sources overflows it."""
-    log_votes = dict.fromkeys(sorted(claims.candidates, key=str), 0.0)
-    for s in sorted(claims.per_source, key=str):
-        term = _log_accuracy_term(quality_of(qualities, s), n)
-        for v in claims.per_source[s]:
-            log_votes[v] += term
-    top = max(log_votes.values())
-    return {v: math.exp(lv - top) for v, lv in log_votes.items()}
-
-
-def _accu(claims: ClaimSet, qualities: Mapping[Any, SourceQuality], n: int):
-    """accu's probabilities, the accuracy votes normalised over all
-    provided values, and the values ranked by them (`sort_values`)."""
-    votes = _accuracy_votes(claims, qualities, n)
-    total = math.fsum(votes.values())
-    probabilities = {v: l / total for v, l in votes.items()}
-    return probabilities, sort_values(probabilities)
-
-
-def accu_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality], n: int) -> FusionResult:
-    """Single-truth fusion: normalize accuracy vote counts over all
-    provided values; exactly one truth is selected."""
-    probabilities, ranked = _accu(claims, qualities, n)
-    diag = FusionDiagnostics(method="accu")
-    top_p = probabilities[ranked[0]]
-    ties = [v for v in ranked if probabilities[v] == top_p]
-    if len(ties) > 1:
-        diag.notes.append(_tie_note(ties))
-    return FusionResult(item_id=claims.item_id, probabilities=probabilities,
-                        selected_truths=[ranked[0]], diagnostics=diag)
 
 
 def _odds_factors(quality: SourceQuality) -> Tuple[float, float]:
@@ -112,48 +77,8 @@ def _odds_factors(quality: SourceQuality) -> Tuple[float, float]:
     return r / q, (1.0 - r) / (1.0 - q)
 
 
-def precrec_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
-                 prior: PriorConfig) -> FusionResult:
-    """Independent per-value decision from posterior odds: providers
-    contribute R/Q, item sources that abstain contribute (1-R)/(1-Q),
-    multiplied in source order; a value is true when its probability
-    clears 0.5."""
-    terms = []
-    for s in sorted(claims.per_source, key=str):
-        terms.append((claims.per_source[s],) + _odds_factors(quality_of(qualities, s)))
-    prior_odds = prior.alpha / (1.0 - prior.alpha)
-    probabilities = {}
-    for v in sorted(claims.candidates, key=str):
-        odds = prior_odds
-        for values, provided, abstained in terms:
-            odds *= provided if v in values else abstained
-        # past the float range, the odds overflow to inf and inf/inf is nan
-        probabilities[v] = 1.0 if odds == math.inf else odds / (1.0 + odds)
-    selected = sort_values({v: p for v, p in probabilities.items() if p > 0.5})
-    return FusionResult(item_id=claims.item_id, probabilities=probabilities,
-                        selected_truths=selected,
-                        diagnostics=FusionDiagnostics(method="precrec"))
-
-
-def twostep_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
-                 prior: PriorConfig) -> FusionResult:
-    """Decide the number of truths k by single-truth fusion, in log-odds, over
-    the per-source value counts, then select the k values ranked highest by
-    single-truth fusion over the real values."""
-    n_card = max(map(len, claims.per_source.values()), default=0)
-    logs: Dict[int, List[float]] = {}
-    for s, values in claims.per_source.items():
-        logs.setdefault(len(values), []).append(
-            _log_accuracy_term(quality_of(qualities, s), n_card))
-    k, notes = _twostep_k(claims.item_id, logs)
-    probabilities, ranked = _accu(claims, qualities, prior.n)
-    return FusionResult(item_id=claims.item_id, probabilities=probabilities,
-                        selected_truths=ranked[:k],
-                        diagnostics=FusionDiagnostics(method="twostep", notes=notes))
-
-
 def _twostep_k(item_id: Any, logs: Mapping[int, List[float]]) -> Tuple[int, List[str]]:
-    """`twostep_fuse`'s truth count and notes, from the log terms of an
+    """twostep's truth count and notes, from the log terms of an
     item's sources keyed by the number of values each provides: the
     smallest count of the largest sum, or one truth if no source
     provides the item."""
@@ -198,8 +123,9 @@ def _single_truth_results(index: ClaimIndex, method: str, probabilities: np.ndar
 
 def majority_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
                    prior: PriorConfig, active: Optional[Iterable[Any]] = None) -> FusionRound:
-    """`majority_vote` on every item of the index, with only the `active`
-    sources (all if None) counted, as one round; reads no quality."""
+    """Majority vote on every item of the index, with only the `active`
+    sources (all if None) counted, as one round; reads no quality and no
+    prior."""
     if not len(index):
         return FusionRound(np.zeros(0), dict)
     active_pairs = index.source_mask(active)[index.pair_source]
@@ -216,8 +142,11 @@ def majority_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
 
 def _accu_probabilities(index: ClaimIndex, qualities: Mapping[Any, SourceQuality], n: int,
                         active: Optional[Iterable[Any]]) -> np.ndarray:
-    """`_accu`'s probabilities of every item, in candidate order.  The log
-    votes are sums over the claims, in source order within a candidate."""
+    """accu's probabilities of every item, in candidate order: each
+    value's accuracy vote, exponentiated after a shift by its item's
+    largest so that no number of sources overflows it, over the item's
+    `math.fsum` of them.  The log votes are sums over the claims, in
+    source order within a candidate."""
     term = index.source_terms(qualities, active, partial(_log_accuracy_term, n=n), 0.0)
     log_votes = np.bincount(index.claim_cand, weights=term[index.pair_source][index.claim_pair],
                             minlength=len(index.tokens))
@@ -230,8 +159,9 @@ def _accu_probabilities(index: ClaimIndex, qualities: Mapping[Any, SourceQuality
 
 def accu_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
                prior: PriorConfig, active: Optional[Iterable[Any]] = None) -> FusionRound:
-    """`accu_fuse` (at `prior.n`) on every item of the index, with only the
-    `active` sources (all if None) contributing, as one round."""
+    """accu (at `prior.n`) on every item of the index, with only the
+    `active` sources (all if None) contributing, as one round: the
+    first-ranked value of each item is its one truth."""
     if not len(index):
         return FusionRound(np.zeros(0), dict)
     probabilities = _accu_probabilities(index, qualities, prior.n, active)
@@ -241,8 +171,8 @@ def accu_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
 
 def precrec_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
                   prior: PriorConfig, active: Optional[Iterable[Any]] = None) -> FusionRound:
-    """`precrec_fuse` on every item of the index, with only the `active`
-    sources (all if None) contributing, as one round.
+    """precrec on every item of the index, with only the `active` sources
+    (all if None) contributing, as one round.
 
     Each candidate's odds are multiplied pair by pair in source order, one
     array step per pair rank.  The candidates are laid out by their item's
@@ -266,7 +196,7 @@ def precrec_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
     claim_at = at[index.claim_cand[by_rank]]
     claim_factor = factors[index.claim_pair[by_rank], 0]
     odds = np.full(len(order), prior.alpha / (1.0 - prior.alpha))
-    # odds past the float range overflow to inf, as the per-item product does
+    # odds past the float range overflow to inf
     with np.errstate(over="ignore"):
         for j, n in enumerate(live):
             step = factors[first[:n] + j, 1]
@@ -284,9 +214,9 @@ def precrec_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
 
 def twostep_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
                   prior: PriorConfig, active: Optional[Iterable[Any]] = None) -> FusionRound:
-    """`twostep_fuse` on every item of the index, with only the `active`
-    sources (all if None) contributing, as one round: accu's probabilities,
-    with each item's truth count decided when the results are built."""
+    """twostep on every item of the index, with only the `active` sources
+    (all if None) contributing, as one round: accu's probabilities, with
+    each item's truth count decided when the results are built."""
     if not len(index):
         return FusionRound(np.zeros(0), dict)
     probabilities = _accu_probabilities(index, qualities, prior.n, active)
@@ -298,7 +228,7 @@ def _twostep_results(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
                      active: Optional[Iterable[Any]],
                      probabilities: np.ndarray) -> Dict[Any, FusionResult]:
     """`item_results` with each item's truth count decided by `_twostep_k`
-    over the log terms of its active pairs, as `twostep_fuse` does."""
+    over the log terms of its active pairs at the item's largest count."""
     on = index.source_mask(active)[index.pair_source].tolist()
     sources, sizes = index.pair_source.tolist(), index.pair_size.tolist()
     bounds = index.pair_start.tolist()

@@ -178,10 +178,13 @@ def _parse_grid(spec: str):
 
 def _run_compare(methods, reps, grid, seed, threads, out):
     names = [m.strip() for m in methods.split(",") if m.strip()]
+    if not names:
+        raise click.UsageError(f"--methods names no method: {methods!r}")
     for name in names:
-        if name not in FUSION_BACKENDS:
-            raise click.UsageError(
-                f"unknown method {name!r}; expected one of {sorted(FUSION_BACKENDS)}")
+        try:
+            fusion_backend(name)
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
     config = SynthConfig(rng_seed=seed)
     rows = compare(names, config, sweep=grid, repetitions=reps, threads=threads)
     mio.write_report_csv(rows, out)

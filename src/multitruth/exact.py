@@ -35,7 +35,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 import numpy as np
 
 from .errors import DegenerateEvidenceError, InstanceTooLargeError
-from .index import ClaimIndex, FusionRound, above_half_results, blocks
+from .index import ClaimIndex, FusionRound, above_half_results, blocks, fuse_one
 from .likelihood import LOG_ZERO, category_log_probs, category_probs, joint_likelihood
 # unused, but bench/tracing.py wraps `exact.source_likelihood` by name
 from .likelihood import source_likelihood  # noqa: F401
@@ -204,8 +204,7 @@ def exact_fuse(claims: ClaimSet, qualities: Mapping[Any, SourceQuality],
     """Exact per-value truth probabilities by full possible-world
     enumeration; values with probability above 0.5 are selected.  This is
     `exact_fuse_round` on a one-item index."""
-    index = ClaimIndex({claims.item_id: claims})
-    return exact_fuse_round(index, qualities, prior).results()[claims.item_id]
+    return fuse_one(exact_fuse_round, claims, qualities, prior)
 
 
 def exact_fuse_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],

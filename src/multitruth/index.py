@@ -25,7 +25,8 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optio
 
 import numpy as np
 
-from .model import ClaimSet, FusionDiagnostics, FusionResult, SourceQuality, quality_of
+from .model import (ClaimSet, FusionDiagnostics, FusionResult, PriorConfig, SourceQuality,
+                    quality_of)
 
 
 class ClaimIndex:
@@ -126,6 +127,14 @@ class FusionRound:
 
     probabilities: np.ndarray
     results: Callable[[], Dict[Any, FusionResult]]
+
+
+def fuse_one(round_fn: Callable[..., FusionRound], claims: ClaimSet,
+             qualities: Mapping[Any, SourceQuality], prior: PriorConfig) -> FusionResult:
+    """One item's result from a dataset round: `round_fn` on a one-item
+    index, which is how every per-item method but the approximation fuses."""
+    index = ClaimIndex({claims.item_id: claims})
+    return round_fn(index, qualities, prior).results()[claims.item_id]
 
 
 def item_results(index: ClaimIndex, method: str, probabilities: np.ndarray, ranked: np.ndarray,

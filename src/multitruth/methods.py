@@ -4,20 +4,20 @@ the command line, and the iteration settings each method runs with."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 from .approx import approx_fuse, approx_fuse_round
 from .baselines import (
-    accu_fuse,
     accu_round,
     majority_round,
-    majority_vote,
     precrec_fuse,
     precrec_round,
     twostep_fuse,
     twostep_round,
 )
 from .exact import exact_fuse, exact_fuse_round
+from .index import fuse_one
 from .quality import FusionBackend, IterationConfig
 
 
@@ -35,22 +35,14 @@ class DatasetBackend:
         return self.fuse_item(claims, qualities, prior)
 
 
-def _accu(claims, qualities, prior):
-    return accu_fuse(claims, qualities, prior.n)
-
-
-def _majority(claims, qualities, prior):
-    return majority_vote(claims)
-
-
 FUSION_BACKENDS: dict[str, FusionBackend] = {
     "hybrid": DatasetBackend(approx_fuse, approx_fuse_round),
     # on the qualities `iterate` clamps once per round
     "hybrid-exact": DatasetBackend(exact_fuse, exact_fuse_round),
-    "accu": DatasetBackend(_accu, accu_round),
+    "accu": DatasetBackend(partial(fuse_one, accu_round), accu_round),
     "precrec": DatasetBackend(precrec_fuse, precrec_round),
     "twostep": DatasetBackend(twostep_fuse, twostep_round),
-    "majority": DatasetBackend(_majority, majority_round),
+    "majority": DatasetBackend(partial(fuse_one, majority_round), majority_round),
 }
 
 

@@ -34,7 +34,13 @@ from multitruth import (
 from multitruth import baselines
 from multitruth.index import ClaimIndex
 from multitruth.methods import FUSION_BACKENDS, fusion_backend, method_iteration_config
-from multitruth.model import claims_by_item
+from multitruth.model import (
+    FusionDiagnostics,
+    FusionResult,
+    claims_by_item,
+    quality_of,
+    sort_values,
+)
 from multitruth.synth import SynthConfig, generate, truth_count_distribution
 
 from conftest import random_instance
@@ -238,6 +244,104 @@ def test_source_without_quality_is_a_typed_error(engine):
         _QUALITY_READERS[engine](cs, {}, PriorConfig())
 
 
+# Scalar per-item bodies of the four baselines, one item at a time with
+# dicts and no index: the plain reference that the dataset rounds, and so
+# the public per-item functions (`index.fuse_one`), are checked against
+# (`_both_paths`, `TestDatasetRounds`).
+
+def _accuracy_votes(claims, qualities, n):
+    """Each value's vote: the sum of log n*A/(1-A) over its providers, in
+    source order, exponentiated after a shift by the largest, so that no
+    number of sources overflows it."""
+    log_votes = dict.fromkeys(sorted(claims.candidates, key=str), 0.0)
+    for s in sorted(claims.per_source, key=str):
+        term = baselines._log_accuracy_term(quality_of(qualities, s), n)
+        for v in claims.per_source[s]:
+            log_votes[v] += term
+    top = max(log_votes.values())
+    return {v: math.exp(lv - top) for v, lv in log_votes.items()}
+
+
+def _accu(claims, qualities, n):
+    """accu's probabilities, the accuracy votes normalised over all
+    provided values, and the values ranked by them (`sort_values`)."""
+    votes = _accuracy_votes(claims, qualities, n)
+    total = math.fsum(votes.values())
+    probabilities = {v: l / total for v, l in votes.items()}
+    return probabilities, sort_values(probabilities)
+
+
+def scalar_majority_vote(claims):
+    counts = dict.fromkeys(sorted(claims.candidates, key=str), 0)
+    for values in claims.per_source.values():
+        for v in values:
+            counts[v] += 1
+    top = max(counts.values())
+    winners = sorted((v for v, c in counts.items() if c == top), key=str)
+    diag = FusionDiagnostics(method="majority")
+    if not claims.per_source:
+        diag.notes.append(f"no active source provided item {claims.item_id!r}")
+    if len(winners) > 1:
+        diag.notes.append(baselines._tie_note(winners))
+    return FusionResult(
+        item_id=claims.item_id,
+        probabilities={v: c / top if top else 1.0 for v, c in counts.items()},
+        selected_truths=[winners[0]],
+        diagnostics=diag,
+    )
+
+
+def scalar_accu_fuse(claims, qualities, n):
+    probabilities, ranked = _accu(claims, qualities, n)
+    diag = FusionDiagnostics(method="accu")
+    top_p = probabilities[ranked[0]]
+    ties = [v for v in ranked if probabilities[v] == top_p]
+    if len(ties) > 1:
+        diag.notes.append(baselines._tie_note(ties))
+    return FusionResult(item_id=claims.item_id, probabilities=probabilities,
+                        selected_truths=[ranked[0]], diagnostics=diag)
+
+
+def scalar_precrec_fuse(claims, qualities, prior):
+    terms = []
+    for s in sorted(claims.per_source, key=str):
+        terms.append((claims.per_source[s],) + baselines._odds_factors(quality_of(qualities, s)))
+    prior_odds = prior.alpha / (1.0 - prior.alpha)
+    probabilities = {}
+    for v in sorted(claims.candidates, key=str):
+        odds = prior_odds
+        for values, provided, abstained in terms:
+            odds *= provided if v in values else abstained
+        # past the float range, the odds overflow to inf and inf/inf is nan
+        probabilities[v] = 1.0 if odds == math.inf else odds / (1.0 + odds)
+    selected = sort_values({v: p for v, p in probabilities.items() if p > 0.5})
+    return FusionResult(item_id=claims.item_id, probabilities=probabilities,
+                        selected_truths=selected,
+                        diagnostics=FusionDiagnostics(method="precrec"))
+
+
+def scalar_twostep_fuse(claims, qualities, prior):
+    n_card = max(map(len, claims.per_source.values()), default=0)
+    logs = {}
+    for s, values in claims.per_source.items():
+        logs.setdefault(len(values), []).append(
+            baselines._log_accuracy_term(quality_of(qualities, s), n_card))
+    k, notes = baselines._twostep_k(claims.item_id, logs)
+    probabilities, ranked = _accu(claims, qualities, prior.n)
+    return FusionResult(item_id=claims.item_id, probabilities=probabilities,
+                        selected_truths=ranked[:k],
+                        diagnostics=FusionDiagnostics(method="twostep", notes=notes))
+
+
+# each baseline's scalar body as a per-item callable (claims, qualities, prior)
+SCALAR = {
+    "accu": lambda claims, qualities, prior: scalar_accu_fuse(claims, qualities, prior.n),
+    "majority": lambda claims, qualities, prior: scalar_majority_vote(claims),
+    "precrec": scalar_precrec_fuse,
+    "twostep": scalar_twostep_fuse,
+}
+
+
 # The per-(value, source) loops the baselines ran on an inverse index
 # value -> providers, kept as the reference for the per-source rewrite.
 # The index held frozensets, whose order follows the hash seed; here each
@@ -339,9 +443,10 @@ def test_majority_and_precrec_match_reference():
 def test_accu_and_twostep_match_reference(monkeypatch):
     cases = list(_differential_cases())
     fused = []
-    for votes in (baselines._accuracy_votes, reference_accuracy_votes):
-        monkeypatch.setattr(baselines, "_accuracy_votes", votes)
-        fused.append([(accu_fuse(claims, qualities, prior.n), twostep_fuse(claims, qualities, prior))
+    for votes in (_accuracy_votes, reference_accuracy_votes):
+        monkeypatch.setattr(sys.modules[__name__], "_accuracy_votes", votes)
+        fused.append([(scalar_accu_fuse(claims, qualities, prior.n),
+                       scalar_twostep_fuse(claims, qualities, prior))
                       for claims, qualities, prior in cases])
     for new_pair, ref_pair in zip(*fused):
         for new, ref in zip(new_pair, ref_pair):
@@ -416,12 +521,13 @@ def _synth_dataset(cfg, junk=False):
 
 
 def _both_paths(method, dataset, prior, max_iterations=5):
-    """`iterate` through the registered backend and through its per-item
-    half; asserts their `repr`s are equal and returns the first."""
+    """`iterate` through the registered backend and through the method's
+    scalar body, item by item; asserts their `repr`s are equal and returns
+    the first."""
     backend = fusion_backend(method)
     config = method_iteration_config(method, IterationConfig(max_iterations=max_iterations))
     out = iterate(dataset, prior, backend, config)
-    reference = iterate(dataset, prior, _per_item(backend), config)
+    reference = iterate(dataset, prior, SCALAR[method], config)
     for item, result in out[0].items():  # short reprs, for a readable failure
         assert repr(result) == repr(reference[0][item])
     assert repr(out) == repr(reference)
@@ -449,8 +555,8 @@ def _case_datasets(size=25):
 
 
 class TestDatasetRounds:
-    """Each baseline's dataset round gives the `repr` of its per-item
-    function, item by item."""
+    """Each baseline's dataset round gives the `repr` of its scalar body,
+    item by item."""
 
     @pytest.mark.parametrize("method", BASELINES)
     def test_compare_data(self, method):
@@ -496,8 +602,9 @@ class TestDatasetRounds:
             index = ClaimIndex(dataset)
             for active in (None, {s for s in index.sources if rng.random() < 0.7}):
                 fused = backend.fuse_dataset(index, qualities, prior, active).results()
-                per_item = {item: backend(dataset[item] if active is None
-                                          else dataset[item].restrict(active), qualities, prior)
+                per_item = {item: SCALAR[method](dataset[item] if active is None
+                                                 else dataset[item].restrict(active),
+                                                 qualities, prior)
                             for item in index.items}
                 assert repr(fused) == repr(per_item)
 
@@ -507,7 +614,8 @@ class TestDatasetRounds:
         index = ClaimIndex({"d": cs})
         backend = fusion_backend(method)
         fused = backend.fuse_dataset(index, {"s1": Q6}, PriorConfig(), {"s1"}).results()
-        assert repr(fused) == repr({"d": backend(cs.restrict({"s1"}), {"s1": Q6}, PriorConfig())})
+        assert repr(fused) == repr({"d": SCALAR[method](cs.restrict({"s1"}), {"s1": Q6},
+                                                        PriorConfig())})
         if method != "majority":
             with pytest.raises(UnknownSourceError, match="'s2'"):
                 backend.fuse_dataset(index, {"s1": Q6}, PriorConfig())
@@ -527,7 +635,7 @@ class TestDatasetRounds:
         backend = fusion_backend(method)
         fused = backend.fuse_dataset(ClaimIndex(dataset), qualities, prior,
                                      set(accuracies)).results()
-        assert repr(fused) == repr({item: backend(cs.restrict(accuracies), qualities, prior)
+        assert repr(fused) == repr({item: SCALAR[method](cs.restrict(accuracies), qualities, prior)
                                     for item, cs in dataset.items()})
         if method == "twostep":
             assert fused["d"].diagnostics.notes == [

@@ -449,7 +449,12 @@ class TestBadCountsRefused:
          "'--threads': 0 is not in the range"),
         (["sweep", "--figure", "extra", "--reps", "1", "--threads", "0"],
          "'--threads': 0 is not in the range"),
-    ], ids=["compare-reps", "sweep-reps", "compare-threads", "sweep-threads"])
+        # an empty method list ended in a traceback and exit code 1
+        (["compare", "--methods", ",", "--reps", "1"], "--methods names no method: ','"),
+        (["sweep", "--figure", "extra", "--methods", " ", "--reps", "1"],
+         "--methods names no method: ' '"),
+    ], ids=["compare-reps", "sweep-reps", "compare-threads", "sweep-threads",
+            "compare-no-method", "sweep-no-method"])
     def test_compare_and_sweep(self, tmp_path, args, message):
         result = _run_cli(*args, "--out", tmp_path / "report.csv", cwd=tmp_path)
         assert result.returncode == 2

@@ -1,7 +1,7 @@
 """The declared dependency floor holds: the package calls no numpy
 function newer than the `numpy>=` floor in pyproject.toml, fusion
-imports no numpy submodule it does not need, and no module imports a
-name it never uses."""
+imports no numpy submodule it does not need, no module imports a name
+it never uses, and no module binds a top-level name twice."""
 
 import ast
 import os
@@ -94,3 +94,39 @@ def test_every_module_level_import_is_used():
     unused = {path.name: unused_imports(path.read_text(encoding="utf-8"))
               for path in sorted((ROOT / "src" / "multitruth").glob("*.py"))}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def names_bound_twice(source: str):
+    """Names that a module's top-level statements bind more than once, by
+    `def`, `class`, assignment or import; `__future__` imports bind none."""
+    seen, twice = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            names = [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            if isinstance(node, ast.AnnAssign) and node.value is None:
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+        else:
+            continue
+        twice += [name for name in names if name in seen]
+        seen.update(names)
+    return twice
+
+
+def test_no_module_level_name_is_bound_twice():
+    assert names_bound_twice(
+        "import math\ndef fuse(c):\n    return c\nX = 1\n\ndef fuse(c):\n    return math.e\n"
+    ) == ["fuse"]
+    assert names_bound_twice(
+        "from __future__ import annotations\nimport os.path\nfrom typing import Any\n"
+        "A, B = 1, 2\nC: Any = A\nD: int\nclass E:\n    A = 3\ndef f(x):\n    B = x\n") == []
+    twice = {path.name: names_bound_twice(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "multitruth").glob("*.py"))}
+    assert {name: names for name, names in twice.items() if names} == {}
