@@ -20,6 +20,7 @@ from .errors import (
     UnknownSourceError,
 )
 from .exact import conditional_prob, exact_fuse, exact_fuse_from_votes
+from .index import ClaimIndex, claims_by_item
 from .likelihood import (
     CategoryCounts,
     CategoryProbs,
@@ -38,7 +39,6 @@ from .model import (
     SourceQuality,
     VoteCountFixture,
     beta_at,
-    claims_by_item,
     derive_q,
 )
 from .quality import (
@@ -58,6 +58,7 @@ __all__ = [
     "CategoryCounts",
     "CategoryProbs",
     "Claim",
+    "ClaimIndex",
     "ClaimSet",
     "DegenerateEvidenceError",
     "FusionError",

@@ -259,7 +259,7 @@ def _results(index: ClaimIndex, probabilities: np.ndarray, ranked: np.ndarray,
     for d, (m, k, t) in enumerate(zip(index.cand_count.tolist(), n_selected.tolist(),
                                       last.tolist())):
         values = ranked_tokens[a:a + m]
-        results[index.items[d]] = FusionResult(
+        results[index.item_keys[d]] = FusionResult(
             item_id=index.item_ids[d],
             probabilities=dict(zip(values, probs[a:a + m])),
             selected_truths=values[:k],

@@ -1,8 +1,10 @@
 """Flat, array-backed index of a dataset's claims, and the frame that
 the dataset passes run in.
 
-`iterate` builds one per run and drives both halves of its loop from it:
-the fusion round, a `FusionRound` that every backend hands back (the
+A `ClaimIndex` is the dataset: `claims_by_item` groups (source, item,
+value) rows straight into one, and it reads as a mapping from item key
+to `ClaimSet`.  `iterate` drives both halves of its loop from it: the
+fusion round, a `FusionRound` that every backend hands back (the
 dataset passes of the registered backends -- `approx.approx_fuse_round`,
 `exact.exact_fuse_round` and the four in `baselines` -- or the per-item
 calls of a plain callable), and the quality update
@@ -20,71 +22,136 @@ does not depend on the hash seed.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .model import (ClaimSet, FusionDiagnostics, FusionResult, PriorConfig, SourceQuality,
-                    quality_of)
+                    normalize_value, quality_of)
 
 
-class ClaimIndex:
-    """Claims of a dataset as int arrays.
+def _numbered(column: Sequence[Any]) -> Tuple[List[Any], np.ndarray]:
+    """The distinct entries of `column` sorted by their `str` (equal
+    strings in order of first appearance), and the number of each entry
+    of `column` among them."""
+    distinct = sorted(dict.fromkeys(column), key=str)
+    number = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(number.__getitem__, column), np.intp, len(column))
 
-    Candidates are numbered globally, item after item; `cand_start[d]` is
-    the number of item d's first candidate, so item d owns candidates
-    `cand_start[d]` to `cand_start[d + 1] - 1`, in token order.  A pair is
-    one (item, source) with the number of values the source provides
-    there.  A claim is one (pair, candidate); claims run item by item,
-    source by source, and candidate by candidate within a pair.  Pairs
-    and claims of item d start at `pair_start[d]` and `claim_start[d]`.
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct entries of the int array `keys`, sorted.  (`np.unique`
+    would import numpy.ma.)"""
+    keys = np.sort(keys)
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
+def _starts(of: np.ndarray, n: int) -> np.ndarray:
+    """Where each of `n` runs begins in the sorted array `of` of run
+    numbers, and its end, as n + 1 offsets."""
+    return of.searchsorted(np.arange(n + 1))
+
+
+class ClaimIndex(Mapping):
+    """Claims of a dataset as int arrays, read as a mapping from each item
+    key to its `ClaimSet` (a view built from the arrays on access).
+
+    `ClaimIndex(dataset)` lays out any mapping of `ClaimSet`s, such as a
+    hand-built dict; `claims_by_item` lays out (source, item, value) rows
+    through the same code.  `item_keys` are the item keys in index order,
+    `item_ids` the `ClaimSet.item_id` of each.  Candidates are numbered
+    globally, item after item; `cand_start[d]` is the number of item d's
+    first candidate, so item d owns candidates `cand_start[d]` to
+    `cand_start[d + 1] - 1`, in token order.  A pair is one (item, source)
+    with the number of values the source provides there.  A claim is one
+    (pair, candidate); claims run item by item, source by source, and
+    candidate by candidate within a pair.  Pairs and claims of item d
+    start at `pair_start[d]` and `claim_start[d]`.
     """
 
     def __init__(self, dataset: Mapping[Any, ClaimSet]):
-        self.items: List[Any] = sorted(dataset, key=str)
-        self.item_ids: List[Any] = [dataset[item].item_id for item in self.items]
-        self.sources: List[Any] = sorted(
-            {s for cs in dataset.values() for s in cs.per_source}, key=str)
-        source_rank = {s: j for j, s in enumerate(self.sources)}
+        keys = sorted(dataset, key=str)
+        claim_sets = [dataset[key] for key in keys]
+        items: List[int] = []
+        sources: List[Any] = []
+        values: List[Any] = []
+        for d, cs in enumerate(claim_sets):
+            for s, provided in cs.per_source.items():
+                items += [d] * len(provided)
+                sources += [s] * len(provided)
+                values += provided
+        for d, cs in enumerate(claim_sets):
+            items += [d] * len(cs.candidates)
+            values += cs.candidates
+        self._lay_out(keys, [cs.item_id for cs in claim_sets], np.array(items, dtype=np.intp),
+                      *_numbered(sources), *_numbered(values))
 
-        tokens: List[Any] = []
-        cand_start = [0]
-        pair_start = [0]
-        claim_start = [0]
-        pair_item: List[int] = []
-        pair_source: List[int] = []
-        pair_size: List[int] = []
-        claim_cand: List[int] = []
-        for d, item in enumerate(self.items):
-            cs = dataset[item]
-            values = sorted(cs.candidates, key=str)
-            local = dict(zip(values, range(len(tokens), len(tokens) + len(values)))).__getitem__
-            tokens.extend(values)
-            cand_start.append(len(tokens))
-            for s in sorted(cs.per_source, key=source_rank.__getitem__):
-                provided = sorted(map(local, cs.per_source[s]))
-                claim_cand.extend(provided)
-                pair_item.append(d)
-                pair_source.append(source_rank[s])
-                pair_size.append(len(provided))
-            pair_start.append(len(pair_item))
-            claim_start.append(len(claim_cand))
+    def _lay_out(self, keys: Sequence[Any], item_ids: Sequence[Any], items: np.ndarray,
+                 sources: Sequence[Any], source_code: np.ndarray,
+                 values: Sequence[Any], value_code: np.ndarray) -> None:
+        """Lay out the claims (`keys[items[j]]`, `sources[source_code[j]]`,
+        `values[value_code[j]]`), each kept once; `keys`, `sources` and
+        `values` are sorted by their `str`, and `item_ids` are the ids of
+        `keys`.  An item's candidates are the values of its claims and of
+        the rows past the claims in `items` and `value_code`, which make
+        no claim: they keep values that no source provides."""
+        self.item_keys: List[Any] = list(keys)
+        self.item_ids: List[Any] = list(item_ids)
+        self._position = dict(zip(keys, range(len(keys))))
+        self.sources: List[Any] = list(sources)
 
-        self.tokens = tokens
-        self.cand_start = np.array(cand_start, dtype=np.intp)
-        self.cand_count = np.diff(self.cand_start)
-        self.cand_item = np.repeat(np.arange(len(self.items), dtype=np.int32), self.cand_count)
-        self.pair_start = np.array(pair_start, dtype=np.intp)
-        self.claim_start = np.array(claim_start, dtype=np.intp)
-        self.pair_item = np.array(pair_item, dtype=np.intp)
-        self.pair_source = np.array(pair_source, dtype=np.intp)
-        self.pair_size = np.array(pair_size, dtype=np.intp)
-        self.claim_pair = np.repeat(np.arange(len(pair_item), dtype=np.int32), self.pair_size)
-        self.claim_cand = np.array(claim_cand, dtype=np.int32)
+        # a pair (item, source), a claim (pair, value) and a candidate
+        # (item, value) are each one int key, whose order is the layout's;
+        # no key reaches the product of two of the counts below
+        n_items, n_sources, n_values = len(keys), len(sources), len(values)
+        n_rows = len(source_code)
+        pair_key = items[:n_rows] * n_sources + source_code
+        pair_keys = _distinct(pair_key)
+        claim_keys = _distinct(pair_keys.searchsorted(pair_key) * n_values + value_code[:n_rows])
+        claim_pair, claim_value = np.divmod(claim_keys, n_values)
+        cand_keys = _distinct(items * n_values + value_code)
+        cand_item, cand_value = np.divmod(cand_keys, n_values)
+
+        self.tokens: List[Any] = [values[r] for r in cand_value.tolist()]
+        self.cand_start = _starts(cand_item, n_items)
+        self.cand_count = self.cand_start[1:] - self.cand_start[:-1]
+        self.cand_item = cand_item.astype(np.int32)
+        self.pair_item, self.pair_source = np.divmod(pair_keys, n_sources)
+        self.pair_size = np.bincount(claim_pair, minlength=len(pair_keys))
+        self.pair_start = _starts(self.pair_item, n_items)
+        claim_item = self.pair_item[claim_pair]
+        self.claim_start = _starts(claim_item, n_items)
+        self.claim_pair = claim_pair.astype(np.int32)
+        claim_key = claim_item * n_values + claim_value
+        self.claim_cand = cand_keys.searchsorted(claim_key).astype(np.int32)
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.item_keys)
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self.item_keys)
+
+    def __contains__(self, key: Any) -> bool:
+        return key in self._position
+
+    def __getitem__(self, key: Any) -> ClaimSet:
+        d = self._position[key]
+        tokens = self.tokens
+        a, b = self.cand_start[d:d + 2].tolist()
+        lo, hi = self.pair_start[d:d + 2].tolist()
+        provided = [tokens[g] for g in
+                    self.claim_cand[self.claim_start[d]:self.claim_start[d + 1]].tolist()]
+        per_source, c = {}, 0
+        for s, k in zip(self.pair_source[lo:hi].tolist(), self.pair_size[lo:hi].tolist()):
+            per_source[self.sources[s]] = frozenset(provided[c:c + k])
+            c += k
+        return ClaimSet(item_id=self.item_ids[d], per_source=per_source,
+                        candidates=frozenset(tokens[a:b]))
 
     def source_mask(self, active) -> np.ndarray:
         """Boolean mask over `sources`: all true when `active` is None."""
@@ -113,17 +180,32 @@ class ClaimIndex:
         candidate order; 0 where an item's result leaves a candidate out."""
         probs: List[float] = []
         bounds = self.cand_start.tolist()
-        for d, item in enumerate(self.items):
+        for d, item in enumerate(self.item_keys):
             get = results[item].probabilities.get
             probs.extend(get(v, 0.0) for v in self.tokens[bounds[d]:bounds[d + 1]])
         return np.array(probs, dtype=float)
+
+
+def claims_by_item(rows: Iterable[Tuple[Any, Any, Any]]) -> ClaimIndex:
+    """Group (source, item, value) rows into a `ClaimIndex`, keyed by item.
+    Each distinct value is normalised once (`model.normalize_value`), and
+    rows that are then equal collapse into one claim."""
+    sources, items, raw = list(zip(*rows, strict=True)) or ((), (), ())
+    distinct = dict.fromkeys(raw)
+    values, normal_code = _numbered(list(map(normalize_value, distinct)))
+    value_code = dict(zip(distinct, normal_code.tolist())).__getitem__
+    keys, item_code = _numbered(items)
+    index = ClaimIndex.__new__(ClaimIndex)
+    index._lay_out(keys, keys, item_code, *_numbered(sources), values,
+                   np.fromiter(map(value_code, raw), np.intp, len(raw)))
+    return index
 
 
 @dataclass(frozen=True, eq=False)
 class FusionRound:
     """One fusion round of every item of an index: each candidate's
     probability in candidate order (`ClaimIndex.tokens`), and `results()`,
-    which builds every item's `FusionResult`, keyed as `ClaimIndex.items`."""
+    which builds every item's `FusionResult`, keyed as `ClaimIndex.item_keys`."""
 
     probabilities: np.ndarray
     results: Callable[[], Dict[Any, FusionResult]]
@@ -148,7 +230,7 @@ def item_results(index: ClaimIndex, method: str, probabilities: np.ndarray, rank
     bounds = index.cand_start.tolist()
     results: Dict[Any, FusionResult] = {}
     for d, (a, b, k) in enumerate(zip(bounds, bounds[1:], n_selected)):
-        results[index.items[d]] = FusionResult(
+        results[index.item_keys[d]] = FusionResult(
             item_id=index.item_ids[d],
             probabilities=dict(zip(tokens[a:b], probs[a:b])),
             selected_truths=ranked_tokens[a:a + min(k, b - a)],

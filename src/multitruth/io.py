@@ -16,15 +16,8 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 from .errors import ParseError
-from .model import (
-    Claim,
-    ClaimSet,
-    FusionResult,
-    GoldStandard,
-    SourceQuality,
-    claims_by_item,
-    normalize_value,
-)
+from .index import ClaimIndex, claims_by_item
+from .model import Claim, FusionResult, GoldStandard, SourceQuality, normalize_value
 
 log = logging.getLogger(__name__)
 
@@ -116,16 +109,17 @@ def _iter_claim_rows(path: Path, fmt: str):
                 yield fields
 
 
-def load_claims(path) -> Tuple[Dict[Any, ClaimSet], LoadReport]:
-    """Read claims grouped into per-item ClaimSets; duplicate triples
-    (equal once values are normalized) collapse in the grouping and are
-    counted in the report."""
+def load_claims(path) -> Tuple[ClaimIndex, LoadReport]:
+    """Read claims grouped by `claims_by_item` into one `ClaimIndex`, the
+    dataset `iterate` fuses, which reads as a mapping from item to
+    `ClaimSet`.  Duplicate triples (equal once values are normalized)
+    collapse in the grouping and are counted in the report."""
     path = Path(path)
     claims = list(_iter_claim_rows(path, _detect_format(path)))
     if not claims:
         raise ParseError(f"no claims found in {path}")
     dataset = claims_by_item(claims)
-    n_claims = sum(len(vs) for cs in dataset.values() for vs in cs.per_source.values())
+    n_claims = len(dataset.claim_cand)
     report = LoadReport(n_rows=len(claims), n_claims=n_claims,
                         n_duplicates=len(claims) - n_claims)
     if report.n_duplicates:

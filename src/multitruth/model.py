@@ -11,7 +11,7 @@ import math
 import numbers
 import unicodedata
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import UnknownSourceError
 
@@ -95,12 +95,13 @@ class ClaimSet:
         return ClaimSet(item_id=self.item_id, per_source=psi, candidates=self.candidates)
 
 
-def claims_by_item(claims: Iterable[Tuple[Any, Any, Any]]) -> Dict[Any, ClaimSet]:
-    """Group (source, item, value) triples into per-item ClaimSets (duplicates collapse)."""
-    grouped: Dict[Any, Dict[Any, set]] = {}
-    for source, item, value in claims:
-        grouped.setdefault(item, {}).setdefault(source, set()).add(value)
-    return {item: ClaimSet.from_claims(item, psi) for item, psi in grouped.items()}
+def __getattr__(name: str) -> Any:
+    # `claims_by_item` lives in `index`, which imports this module, so it
+    # is looked up there when read from here
+    if name == "claims_by_item":
+        from .index import claims_by_item
+        return claims_by_item
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -163,19 +163,17 @@ class IterationRecord:
     good: bool
 
 
-def _fuse_all(dataset: Mapping[Any, ClaimSet], index: ClaimIndex,
-              qualities: Mapping[Any, SourceQuality], prior: PriorConfig,
+def _fuse_all(index: ClaimIndex, qualities: Mapping[Any, SourceQuality], prior: PriorConfig,
               fusion: FusionBackend, active: Optional[set]) -> FusionRound:
     """One fusion round of every item: the backend's dataset pass if it
-    has one, otherwise its per-item calls, whose probabilities are read
-    back in the index's candidate order."""
+    has one, otherwise its per-item calls on the index's `ClaimSet` views,
+    whose probabilities are read back in the index's candidate order."""
     fuse_dataset = getattr(fusion, "fuse_dataset", None)
     if fuse_dataset is not None:
         return fuse_dataset(index, qualities, prior, active)
-    results = {
-        item: fusion(dataset[item] if active is None else dataset[item].restrict(active),
-                     qualities, prior)
-        for item in index.items}
+    results = {item: fusion(claims if active is None else claims.restrict(active),
+                            qualities, prior)
+               for item, claims in index.items()}
     return FusionRound(index.candidate_probabilities(results), lambda: results)
 
 
@@ -190,22 +188,23 @@ def iterate(dataset: Mapping[Any, ClaimSet], prior: PriorConfig,
     iteration.  Stops at `max_iterations` or when no quality moves more
     than TOLERANCE.  With max_iterations=0 this is a single fusion
     pass at the initial qualities.  Both halves of the loop run on one
-    `ClaimIndex` of the dataset: a fusion round hands the quality update
-    one array of candidate probabilities, and the result objects are
-    built once, from the last round only.  Each round clamps every
-    quality once and fuses on the clamped copies; the qualities returned
-    are unclamped.  A source whose accuracy is undefined in a round (see
+    `ClaimIndex` of the dataset: the dataset itself when it is one (as
+    `claims_by_item` and `io.load_claims` give it), else one laid out
+    here.  A fusion round hands the quality update one array of candidate
+    probabilities, and the result objects are built once, from the last
+    round only.  Each round clamps every quality once and fuses on the
+    clamped copies; the qualities returned are unclamped.  A source whose accuracy is undefined in a round (see
     `source_metrics`) keeps its previous accuracy, with a warning.
     """
     if not dataset:
         raise ValueError("empty dataset")
-    index = ClaimIndex(dataset)
+    index = dataset if isinstance(dataset, ClaimIndex) else ClaimIndex(dataset)
     sources = index.sources
     qualities: Dict[Any, SourceQuality] = {s: config.init_quality for s in sources}
     clamped = dict.fromkeys(sources, config.init_quality.clamped())
     records: List[IterationRecord] = []
 
-    fused = _fuse_all(dataset, index, clamped, prior, fusion, None)
+    fused = _fuse_all(index, clamped, prior, fusion, None)
     for it in range(1, config.max_iterations + 1):
         new_qualities: Dict[Any, SourceQuality] = {}
         clamped = {}
@@ -239,7 +238,7 @@ def iterate(dataset: Mapping[Any, ClaimSet], prior: PriorConfig,
         if not good_sources:
             log.warning("no source passes the good-source test at iteration %d; "
                         "fusing with all sources", it)
-        fused = _fuse_all(dataset, index, clamped, prior, fusion, good_sources or None)
+        fused = _fuse_all(index, clamped, prior, fusion, good_sources or None)
         if delta < TOLERANCE:
             log.debug("quality iteration converged at step %d (delta %.2g)", it, delta)
             break

@@ -16,7 +16,8 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .methods import fusion_backend, method_iteration_config
-from .model import Claim, GoldStandard, PriorConfig, claims_by_item
+from .index import claims_by_item
+from .model import Claim, GoldStandard, PriorConfig
 from .quality import IterationConfig, iterate
 
 log = logging.getLogger(__name__)
@@ -198,7 +199,7 @@ def _run_rep(config: SynthConfig, methods: Sequence[str],
              rep: int) -> Dict[str, Tuple[float, float, float]]:
     cfg = replace(config, rng_seed=config.rng_seed + rep)
     claims, gold = generate(cfg)
-    dataset = claims_by_item(claims)
+    dataset = claims_by_item(claims)  # one index, fused by every method
     prior = _default_prior(cfg)
     scores = {}
     for name in methods:
@@ -216,10 +217,12 @@ def compare(methods: Sequence[str], config: SynthConfig,
     at each point of a parameter sweep) and report mean metrics.
 
     Repetitions run with independent derived seeds, so results do not
-    depend on the thread count.  One thread is the default: most of the
-    time goes to Python code that holds the interpreter lock (generating
-    the data, building each `ClaimIndex`) and to numpy calls on arrays
-    too small to release it for long, so more threads only add switching.
+    depend on the thread count.  Each repetition groups its claims into
+    one `ClaimIndex` (`claims_by_item`), which every method fuses.  One
+    thread is the default: most of the time goes to Python code that
+    holds the interpreter lock (generating the data, grouping it) and to
+    numpy calls on arrays too small to release it for long, so more
+    threads only add switching.
     """
     if not methods:
         raise ValueError("need at least one method")

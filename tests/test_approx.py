@@ -372,7 +372,7 @@ class TestDatasetPass:
             mode = ("literal", "example-compatible")[int(rng.integers(2))]
             prior = replace(prior, prior_mode=mode)
             fused = approx_fuse_round(index, qualities, prior, active).results()
-            assert list(fused) == index.items
+            assert list(fused) == index.item_keys
             for item, cs in dataset.items():
                 cs = cs if active is None else cs.restrict(active)
                 unsourced += not cs.per_source

@@ -32,12 +32,11 @@ from multitruth import (
     twostep_fuse,
 )
 from multitruth import baselines
-from multitruth.index import ClaimIndex
+from multitruth.index import ClaimIndex, claims_by_item
 from multitruth.methods import FUSION_BACKENDS, fusion_backend, method_iteration_config
 from multitruth.model import (
     FusionDiagnostics,
     FusionResult,
-    claims_by_item,
     quality_of,
     sort_values,
 )
@@ -587,6 +586,7 @@ class TestDatasetRounds:
         # items of about 10 sources and, sorted among them, one of 1000:
         # precrec's steps past pair rank 10 multiply that item's odds alone
         dataset, prior = _synth_dataset(SynthConfig(num_items=100, rng_seed=1))
+        dataset = dict(dataset)
         dataset["i0050b"] = ClaimSet.from_claims("i0050b", {
             f"x{j:04d}": [f"v{j % 7}"] + ([f"w{j % 3}"] if j % 4 == 0 else [])
             for j in range(1000)})
@@ -605,7 +605,7 @@ class TestDatasetRounds:
                 per_item = {item: SCALAR[method](dataset[item] if active is None
                                                  else dataset[item].restrict(active),
                                                  qualities, prior)
-                            for item in index.items}
+                            for item in index.item_keys}
                 assert repr(fused) == repr(per_item)
 
     @pytest.mark.parametrize("method", BASELINES)

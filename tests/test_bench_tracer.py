@@ -45,7 +45,7 @@ def test_traced_exact_iterate_equals_the_plain_run(Tracer):
     # a source that gives a value of its own on every item fails the
     # good-source test, so later rounds fuse with it left out
     claims += [("junk", item, "junk") for item in sorted({c.item_id for c in claims})]
-    dataset = model.claims_by_item(claims)
+    dataset = io.claims_by_item(claims)
     prior = model.PriorConfig(n=10, alpha=0.25,
                               truth_count_dist=synth.truth_count_distribution(cfg))
     backend = synth.fusion_backend("hybrid-exact")
@@ -67,7 +67,7 @@ def test_traced_hybrid_iterate_agrees_with_the_plain_run(Tracer):
     cfg = synth.SynthConfig(num_items=60, rng_seed=1)
     claims = synth.generate(cfg)[0]
     claims += [("junk", item, "junk") for item in sorted({c.item_id for c in claims})]
-    dataset = model.claims_by_item(claims)
+    dataset = io.claims_by_item(claims)
     prior = model.PriorConfig(n=10, alpha=0.25,
                               truth_count_dist=synth.truth_count_distribution(cfg))
     backend = synth.fusion_backend("hybrid")

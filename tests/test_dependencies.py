@@ -1,7 +1,8 @@
 """The declared dependency floor holds: the package calls no numpy
-function newer than the `numpy>=` floor in pyproject.toml, fusion
-imports no numpy submodule it does not need, no module imports a name
-it never uses, and no module binds a top-level name twice."""
+function newer than the `numpy>=` floor in pyproject.toml, loading and
+fusion import no numpy submodule they do not need (and no module calls
+`np.unique`, which would import one), no module imports a name it never
+uses, and no module binds a top-level name twice."""
 
 import ast
 import os
@@ -40,8 +41,9 @@ def test_numpy_calls_within_the_declared_floor():
 
 NUMPY_MA_SCRIPT = """
 import sys
+from pathlib import Path
 from multitruth import PriorConfig, iterate
-from multitruth.io import claims_by_item
+from multitruth.io import load_claims, write_claims_csv
 from multitruth.methods import fusion_backend
 from multitruth.synth import SynthConfig, generate, truth_count_distribution
 
@@ -50,20 +52,42 @@ narrow = SynthConfig(num_items=20, truth_count_max=2, false_domain_size=4, extra
 for method in ("hybrid", "hybrid-exact", "accu", "precrec", "twostep", "majority"):
     cfg = narrow if method == "hybrid-exact" else SynthConfig(num_items=20, rng_seed=1)
     prior = PriorConfig(n=10, alpha=0.25, truth_count_dist=truth_count_distribution(cfg))
-    iterate(claims_by_item(generate(cfg)[0]), prior, fusion_backend(method))
+    path = Path(sys.argv[1]) / f"{method}.csv"
+    write_claims_csv(generate(cfg)[0], path)
+    iterate(load_claims(path)[0], prior, fusion_backend(method))
 print("numpy.ma" in sys.modules)
 """
 
 
-def test_fusion_does_not_import_numpy_ma():
+def test_fusion_does_not_import_numpy_ma(tmp_path):
     # `np.unique` imports numpy.ma on its first call, which costs about
-    # 1.2 MB of resident memory in a short run
+    # 1.2 MB of resident memory in a short run; the script loads claims
+    # files, groups them and fuses them with every method
     src = str(ROOT / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", NUMPY_MA_SCRIPT], env=env,
+    done = subprocess.run([sys.executable, "-c", NUMPY_MA_SCRIPT, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout.strip() == "False"
+
+
+def numpy_unique_uses(source: str):
+    """Lines of a module that name numpy's `unique` or one of its
+    `unique_*` variants, all of which import numpy.ma."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr.startswith("unique")
+                  and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+                  or isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                  and any(a.name.startswith("unique") for a in node.names))
+
+
+def test_no_module_calls_numpy_unique():
+    assert numpy_unique_uses("import numpy as np\nx = np.sort([1])\ny = np.unique(x)\n"
+                             "z = numpy.unique_counts(x)\nfrom numpy import unique\n") == [3, 4, 5]
+    assert numpy_unique_uses("import numpy as np\nkeys = np.sort(x)\nunique = keys.unique\n") == []
+    uses = {path.name: numpy_unique_uses(path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert {name: lines for name, lines in uses.items() if lines} == {}
 
 
 def unused_imports(source: str):

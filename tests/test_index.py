@@ -1,14 +1,140 @@
-"""The frame the dataset passes run in: the shared block splitter, the
-per-source terms, and the round each pass hands back."""
+"""The frame the dataset passes run in: the grouping of claim rows into
+an index, the shared block splitter, the per-source terms, and the round
+each pass hands back."""
+
+from typing import Any, Dict, Iterable, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from multitruth import ClaimSet, PriorConfig, SourceQuality, UnknownSourceError
+import multitruth
+from multitruth import ClaimSet, PriorConfig, SourceQuality, UnknownSourceError, io, model
 from multitruth.approx import approx_fuse_round
 from multitruth.baselines import accu_round, majority_round, precrec_round, twostep_round
 from multitruth.exact import exact_fuse_round
-from multitruth.index import ClaimIndex, blocks
+from multitruth.index import ClaimIndex, blocks, claims_by_item
+from multitruth.synth import SynthConfig, generate
+
+
+def reference_claims_by_item(claims: Iterable[Tuple[Any, Any, Any]]) -> Dict[Any, ClaimSet]:
+    """The grouping as a dict of per-item ClaimSets, one row at a time:
+    the reference `claims_by_item` is checked against."""
+    grouped: Dict[Any, Dict[Any, set]] = {}
+    for source, item, value in claims:
+        grouped.setdefault(item, {}).setdefault(source, set()).add(value)
+    return {item: ClaimSet.from_claims(item, psi) for item, psi in grouped.items()}
+
+
+INDEX_LISTS = ("item_keys", "item_ids", "sources", "tokens")
+INDEX_ARRAYS = ("cand_start", "cand_count", "cand_item", "pair_start", "claim_start",
+                "pair_item", "pair_source", "pair_size", "claim_pair", "claim_cand")
+
+
+def assert_same_index(got: ClaimIndex, want: ClaimIndex):
+    for name in INDEX_LISTS:
+        assert getattr(got, name) == getattr(want, name), name
+    for name in INDEX_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+
+
+def assert_groups_as_reference(rows):
+    """`claims_by_item(rows)` has the arrays of `ClaimIndex` laid out from
+    the reference dict, and every view equals the reference's ClaimSet."""
+    want = reference_claims_by_item(rows)
+    got = claims_by_item(rows)
+    assert_same_index(got, ClaimIndex(want))
+    assert list(got) == sorted(want, key=str)
+    assert {item: got[item] for item in got} == want
+    # the views lay out again into the same index
+    assert_same_index(ClaimIndex(got), got)
+
+
+# the benchmark's three workloads, by their generator settings
+BENCH_SETTINGS = {
+    "fuse_hybrid": dict(num_items=1000),
+    "fuse_exact": dict(num_items=150, truth_count_max=2, false_domain_size=4, extra_ratio=0.6,
+                       source_accuracy=0.9, source_recall=0.9),
+    "compare_methods": dict(num_items=100),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_SETTINGS))
+def test_grouping_of_bench_data(workload):
+    assert_groups_as_reference(generate(SynthConfig(**BENCH_SETTINGS[workload], rng_seed=1))[0])
+
+
+def test_grouping_collapses_duplicates_and_normalised_values():
+    rows = [("s1", "d1", "a"), ("s1", "d1", "a"), ("s2", "d1", "b"), ("s1", "d2", "c"),
+            ("s2", "d1", "b"), ("s1", "d3", " café"), ("s2", "d3", "café"),
+            ("s1", "d3", "cafe\u0301 "), ("s3", "d3", "\tcafé\n"), ("s3", "d3", "cafe")]
+    assert_groups_as_reference(rows)
+    index = claims_by_item(rows)
+    assert index["d3"].candidates == {"café", "cafe"}
+    assert index["d3"].per_source == {"s1": {"café"}, "s2": {"café"}, "s3": {"café", "cafe"}}
+    assert len(index.claim_cand) == 7
+
+
+def test_grouping_of_non_str_ids_and_values():
+    rows = [(1, ("d", 2), 10), (2, ("d", 2), (1, "x")), (1, 7, " y "), ("s", 7, 10),
+            (1, ("d", 2), 10), (2, 7, (1, "x"))]
+    assert_groups_as_reference(rows)
+    index = claims_by_item(rows)
+    assert index.item_keys == [("d", 2), 7]
+    assert index.sources == [1, 2, "s"]
+    assert index[7].per_source == {1: {"y"}, "s": {10}, 2: {(1, "x")}}
+
+
+def test_grouping_of_an_item_with_a_thousand_sources():
+    rows = [(f"x{j:04d}", "wide", f"v{j % 7}") for j in range(1000)]
+    rows += [(f"x{j:04d}", "wide", f"w{j % 3}") for j in range(0, 1000, 4)]
+    rows += [("x0001", "narrow", "v1"), ("x0999", "narrow", "v2")]
+    assert_groups_as_reference(rows)
+
+
+def test_grouping_of_no_rows():
+    index = claims_by_item([])
+    assert len(index) == 0 and list(index) == []
+    assert_same_index(index, ClaimIndex({}))
+
+
+def test_grouping_rejects_rows_that_are_not_triples():
+    with pytest.raises(ValueError):
+        claims_by_item([("s1", "d1", "a"), ("s1", "d1")])
+    with pytest.raises(ValueError):
+        claims_by_item([("s1", "d1", "a", "b")])
+
+
+def test_grouping_is_one_function_reachable_from_every_module_that_named_it():
+    assert multitruth.claims_by_item is io.claims_by_item is model.claims_by_item \
+        is claims_by_item
+
+
+def test_index_reads_as_a_mapping():
+    index = claims_by_item([("s1", "d1", "a"), ("s2", "d2", "b")])
+    assert "d1" in index and "d3" not in index
+    assert list(index.keys()) == ["d1", "d2"]
+    assert index.get("d3") is None
+    with pytest.raises(KeyError):
+        index["d3"]
+    with pytest.raises(TypeError):
+        index["d3"] = index["d1"]
+
+
+# text that collapses under normalisation (spaces, tabs, a composed and a
+# decomposed accent), with no digits or brackets, so that no text value
+# has the `str` of an int or a tuple value
+_TEXT = st.text(alphabet=" \tabe\u00e9\u0301", max_size=4)
+_VALUE = st.one_of(_TEXT, st.integers(-3, 30), st.tuples(st.integers(0, 2), st.integers(0, 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.sampled_from(["s1", "s2", "s3"]), st.integers(0, 3)),
+                          st.one_of(st.sampled_from(["d1", "d2", "d3"]), st.integers(0, 3)),
+                          _VALUE), max_size=40))
+def test_grouping_of_drawn_rows(rows):
+    assert_groups_as_reference(rows)
 
 
 def test_blocks_cover_items_within_budget():

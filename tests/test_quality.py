@@ -24,9 +24,9 @@ from multitruth import (
     update_precision,
     update_recall,
 )
-from multitruth.index import ClaimIndex
+from multitruth.index import ClaimIndex, claims_by_item
 from multitruth.methods import fusion_backend
-from multitruth.model import FusionDiagnostics, claims_by_item, Claim
+from multitruth.model import FusionDiagnostics, Claim
 from multitruth.quality import source_metrics
 from multitruth.synth import SynthConfig, generate, truth_count_distribution
 
