@@ -276,6 +276,8 @@ def _fuse_block(index: ClaimIndex, lo: int, hi: int, pair_terms: np.ndarray,
     """The step loop over items lo..hi-1: one row per item, its
     candidates in vote order, padded with -inf votes.
 
+    The stop votes of a step are built inside the loop, for every item of
+    the block, so none is built past the step where the last item stops.
     Returns the items' candidates in vote order, their probabilities in
     that order, each item's number of selected truths and termination
     step, and each item's stop votes up to that step."""
@@ -296,20 +298,16 @@ def _fuse_block(index: ClaimIndex, lo: int, hi: int, pair_terms: np.ndarray,
     lv = np.full((rows, width), -np.inf)
     lv[row, col] = log_votes[order]
 
-    # log of each step's tail sum of votes (one row per step), and of each
-    # item's stop vote at each step
+    # log of each step's tail sum of votes (one row per step)
     log_tail = np.full((width + 1, rows), -np.inf)
     for j in range(width - 1, -1, -1):
         np.logaddexp(lv[:, j], log_tail[j + 1], out=log_tail[j])
     pair_row = index.pair_item[p0:p1] - lo
     pair_size = index.pair_size[p0:p1]
     pair_more, pair_rest = pair_terms[p0:p1, 1], pair_terms[p0:p1, 2]
+    # each item's log stop vote at each step, a column per step the loop
+    # reaches: past the step where the last item stops, none is read
     log_bot = np.empty((rows, width))
-    for i in range(1, width + 1):
-        total = np.bincount(pair_row, weights=np.where(pair_size >= i, pair_more, pair_rest),
-                            minlength=rows)
-        slots = np.maximum(prior_slot_count(prior, m, i), 1)
-        log_bot[:, i - 1] = total + (log_odds[i] + log_int[slots])
 
     p = np.zeros((rows, width))
     cut = np.zeros(rows, dtype=np.intp)
@@ -319,6 +317,10 @@ def _fuse_block(index: ClaimIndex, lo: int, hi: int, pair_terms: np.ndarray,
         live = np.flatnonzero(running)
         if not live.size:
             break
+        total = np.bincount(pair_row, weights=np.where(pair_size >= i, pair_more, pair_rest),
+                            minlength=rows)
+        slots = np.maximum(prior_slot_count(prior, m, i), 1)
+        log_bot[:, i - 1] = total + (log_odds[i] + log_int[slots])
         bot = log_bot[live, i - 1]
         denom = np.logaddexp(log_tail[i - 1, live], bot)
         c = lv[live]
@@ -340,12 +342,13 @@ def _fuse_block(index: ClaimIndex, lo: int, hi: int, pair_terms: np.ndarray,
     boundary = np.where(cut > 0, lv[np.arange(rows), np.maximum(cut - 1, 0)], np.nan)
     before_cut = np.arange(width) < np.where(cut > 0, cut - 1, m)[:, None]
     n_selected = (before_cut & (lv != boundary[:, None])).sum(axis=1)
-    bots = log_bot
+    steps = int(last.max())
+    bots = log_bot[:, :steps]
     bots -= lv[:, :1]
     with np.errstate(over="ignore"):
         np.exp(bots, out=bots)
     return (c0 + order, p[row, col], n_selected, last,
-            bots[np.arange(width) < last[:, None]])
+            bots[np.arange(steps) < last[:, None]])
 
 
 def approx_fuse_from_votes(fixture: VoteCountFixture, item_id: Any = None,

@@ -188,9 +188,19 @@ class ClaimIndex(Mapping):
 
 def claims_by_item(rows: Iterable[Tuple[Any, Any, Any]]) -> ClaimIndex:
     """Group (source, item, value) rows into a `ClaimIndex`, keyed by item.
-    Each distinct value is normalised once (`model.normalize_value`), and
-    rows that are then equal collapse into one claim."""
-    sources, items, raw = list(zip(*rows, strict=True)) or ((), (), ())
+    The rows are read as a stream, each split into a source, an item and
+    a value column as it comes, so no row need outlive its turn (a row
+    that is not a triple raises `ValueError`).  Each distinct value is
+    normalised once (`model.normalize_value`), and rows that are then
+    equal collapse into one claim."""
+    sources: List[Any] = []
+    items: List[Any] = []
+    raw: List[Any] = []
+    add_source, add_item, add_value = sources.append, items.append, raw.append
+    for source, item, value in rows:
+        add_source(source)
+        add_item(item)
+        add_value(value)
     distinct = dict.fromkeys(raw)
     values, normal_code = _numbered(list(map(normalize_value, distinct)))
     value_code = dict(zip(distinct, normal_code.tolist())).__getitem__

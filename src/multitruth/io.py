@@ -13,7 +13,7 @@ from contextlib import closing
 from dataclasses import asdict, dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .errors import ParseError
 from .index import ClaimIndex, claims_by_item
@@ -58,20 +58,28 @@ def _lines(path: Path) -> Iterator[str]:
         raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
+def _csv_header(reader, path: Path, kind: str, columns: Sequence[str],
+                optional: Sequence[str] = ()) -> List[int]:
+    """Read the header row of a CSV `kind` file and return the position of
+    each of its `columns`, which it must have, then of the `optional`
+    columns it has (a name given twice means its last column)."""
+    header = next(reader, None)
+    if header is None:
+        raise ParseError(f"empty {kind} file {path}")
+    index = {name: i for i, name in enumerate(header)}
+    missing = set(columns) - index.keys()
+    if missing:
+        raise ParseError(f"{kind} file {path} lacks columns {sorted(missing)}", line=1)
+    return [index[c] for c in (*columns, *(c for c in optional if c in index))]
+
+
 def _csv_rows(path: Path, kind: str, columns: Sequence[str], optional: Sequence[str] = ()):
     """Each data row of a CSV `kind` file as a tuple of its `columns`, which the
     header must have, then of the `optional` columns the header has (a name
     given twice means its last column); each must hold more than whitespace."""
     with closing(_lines(path)) as lines:
         reader = csv.reader(lines)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"empty {kind} file {path}")
-        index = {name: i for i, name in enumerate(header)}
-        missing = set(columns) - index.keys()
-        if missing:
-            raise ParseError(f"{kind} file {path} lacks columns {sorted(missing)}", line=1)
-        wanted = [index[c] for c in (*columns, *(c for c in optional if c in index))]
+        wanted = _csv_header(reader, path, kind, columns, optional)
         pick, width = itemgetter(*wanted), max(wanted) + 1
         for row in filter(None, reader):  # skips blank lines
             if len(row) < width or not all(map(str.strip, fields := pick(row))):
@@ -79,49 +87,78 @@ def _csv_rows(path: Path, kind: str, columns: Sequence[str], optional: Sequence[
             yield fields
 
 
-def _iter_claim_rows(path: Path, fmt: str):
-    """Each claim of a claims file as a (source, item, value) tuple of text.
-    A JSONL number keeps its spelling and a boolean reads as `true` or
-    `false`, as the same field of a CSV file would."""
-    if fmt == "csv":
-        yield from _csv_rows(path, "claims", CLAIM_COLUMNS)
-    else:
-        with closing(_lines(path)) as lines:
-            for line_no, raw in enumerate(lines, start=1):
-                if not raw.strip():
-                    continue
-                try:
-                    obj = json.loads(raw, parse_int=str, parse_float=str, parse_constant=str)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"invalid JSON in {path}: {exc.msg}", line=line_no) from exc
-                try:
-                    fields = obj["source"], obj["item"], obj["value"]
-                except (TypeError, KeyError):
-                    raise ParseError(f"claims object needs source/item/value keys in {path}",
-                                     line=line_no) from None
-                fields = tuple(json.dumps(f) if isinstance(f, bool) else f for f in fields)
-                for name, field in zip(("source", "item", "value"), fields):
-                    if not isinstance(field, str):
-                        raise ParseError(f"claims {name} must be a scalar, got "
-                                         f"{json.dumps(field)} in {path}", line=line_no)
-                    if not field.strip():
-                        raise ParseError(f"empty claims {name} in {path}", line=line_no)
-                yield fields
+_ClaimColumns = Tuple[List[str], List[str], List[str]]
+
+
+def _csv_claim_columns(path: Path) -> _ClaimColumns:
+    """The source, item and value columns of a claims CSV file, each a list
+    of text in row order.  Each row is checked as `_csv_rows` checks it,
+    and none outlives its turn of the loop."""
+    sources: List[str] = []
+    items: List[str] = []
+    values: List[str] = []
+    add_source, add_item, add_value = sources.append, items.append, values.append
+    with closing(_lines(path)) as lines:
+        reader = csv.reader(lines)
+        s, i, v = _csv_header(reader, path, "claims", CLAIM_COLUMNS)
+        width = max(s, i, v) + 1
+        for row in reader:
+            if not row:  # a blank line
+                continue
+            if len(row) < width or not (row[s].strip() and row[i].strip() and row[v].strip()):
+                raise ParseError(f"malformed claims row in {path}", line=reader.line_num)
+            add_source(row[s])
+            add_item(row[i])
+            add_value(row[v])
+    return sources, items, values
+
+
+def _jsonl_claim_columns(path: Path) -> _ClaimColumns:
+    """The source, item and value columns of a JSONL claims file, one
+    object a line.  A number keeps its spelling and a boolean reads as
+    `true` or `false`, as the same field of a CSV file would."""
+    columns: _ClaimColumns = ([], [], [])
+    with closing(_lines(path)) as lines:
+        for line_no, raw in enumerate(lines, start=1):
+            if not raw.strip():
+                continue
+            try:
+                obj = json.loads(raw, parse_int=str, parse_float=str, parse_constant=str)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON in {path}: {exc.msg}", line=line_no) from exc
+            try:
+                fields = obj["source"], obj["item"], obj["value"]
+            except (TypeError, KeyError):
+                raise ParseError(f"claims object needs source/item/value keys in {path}",
+                                 line=line_no) from None
+            fields = tuple(json.dumps(f) if isinstance(f, bool) else f for f in fields)
+            for name, field in zip(("source", "item", "value"), fields):
+                if not isinstance(field, str):
+                    raise ParseError(f"claims {name} must be a scalar, got "
+                                     f"{json.dumps(field)} in {path}", line=line_no)
+                if not field.strip():
+                    raise ParseError(f"empty claims {name} in {path}", line=line_no)
+            for column, field in zip(columns, fields):
+                column.append(field)
+    return columns
 
 
 def load_claims(path) -> Tuple[ClaimIndex, LoadReport]:
-    """Read claims grouped by `claims_by_item` into one `ClaimIndex`, the
-    dataset `iterate` fuses, which reads as a mapping from item to
-    `ClaimSet`.  Duplicate triples (equal once values are normalized)
-    collapse in the grouping and are counted in the report."""
+    """Read a claims file into one `ClaimIndex`, the dataset `iterate`
+    fuses, which reads as a mapping from item to `ClaimSet`.  The file is
+    parsed into a source, an item and a value column, with no tuple kept
+    per row, and the columns are grouped by one `claims_by_item` call.
+    Duplicate triples (equal once values are normalized) collapse in the
+    grouping and are counted in the report."""
     path = Path(path)
-    claims = list(_iter_claim_rows(path, _detect_format(path)))
-    if not claims:
+    read = _csv_claim_columns if _detect_format(path) == "csv" else _jsonl_claim_columns
+    columns = read(path)
+    n_rows = len(columns[0])
+    if not n_rows:
         raise ParseError(f"no claims found in {path}")
-    dataset = claims_by_item(claims)
+    dataset = claims_by_item(zip(*columns))
     n_claims = len(dataset.claim_cand)
-    report = LoadReport(n_rows=len(claims), n_claims=n_claims,
-                        n_duplicates=len(claims) - n_claims)
+    report = LoadReport(n_rows=n_rows, n_claims=n_claims, n_duplicates=n_rows - n_claims)
     if report.n_duplicates:
         log.info("deduplicated %d repeated claim rows in %s", report.n_duplicates, path)
     return dataset, report

@@ -1,7 +1,8 @@
 """Results do not depend on incidental choices of the input: renaming every
 source and item, in a way that keeps their `str` order, or writing every
 claim row twice, gives every registered method the same results bit for
-bit; and fusing item by item gives the results of the dataset round."""
+bit; fusing item by item gives the results of the dataset round; and the
+engines' block budget does not change a round."""
 
 import json
 from dataclasses import replace
@@ -9,11 +10,11 @@ from dataclasses import replace
 import pytest
 from click.testing import CliRunner
 
-from multitruth import ClaimSet, IterationConfig, PriorConfig, iterate
+from multitruth import ClaimSet, IterationConfig, PriorConfig, approx, exact, iterate
 from multitruth import io as mio
 from multitruth.cli import main
 from multitruth.methods import FUSION_BACKENDS, fusion_backend, method_iteration_config
-from multitruth.index import claims_by_item
+from multitruth.index import blocks, claims_by_item
 from multitruth.synth import SynthConfig, generate, truth_count_distribution
 
 # `hybrid-exact` runs on the `fuse_exact` bench settings, whose items stay
@@ -136,3 +137,34 @@ def test_per_item_path_on_an_index(method):
         assert got[0][item].diagnostics.termination_step == r.diagnostics.termination_step
     assert [(r.iteration, r.source, r.good) for r in got[2]] == [
         (r.iteration, r.source, r.good) for r in want[2]]
+
+
+@pytest.mark.parametrize("method, engine, fuse_round", [
+    ("hybrid", approx, approx.approx_fuse_round),
+    ("hybrid-exact", exact, exact.exact_fuse_round),
+], ids=["hybrid", "hybrid-exact"])
+def test_block_budget(method, engine, fuse_round, monkeypatch):
+    """A round with every item in a block of its own equals the round in
+    the default blocks, with the last round's qualities and `junk` left
+    out."""
+    rows, prior = _rows(method, seed=1)
+    index = claims_by_item(rows)
+    _, qualities, _ = iterate(index, prior, fusion_backend(method))
+    active = set(index.sources) - {"junk"}
+    rounds = {}
+    for cells in (engine.BLOCK_CELLS, 1):
+        monkeypatch.setattr(engine, "BLOCK_CELLS", cells)
+        fused = fuse_round(index, qualities, prior, active)
+        results = fused.results()
+        rounds[cells] = repr((fused.probabilities.tolist(), results))
+        if method == "hybrid":
+            assert all(len(r.diagnostics.bot_votes) == r.diagnostics.termination_step
+                       for r in results.values())
+    assert rounds[1] == rounds[engine.BLOCK_CELLS]
+    if method == "hybrid":
+        # every item stops well before its default block's widest item,
+        # where the loop stops building stop votes
+        steps = [r.diagnostics.termination_step for r in results.values()]
+        widths = index.cand_count.tolist()
+        for lo, hi in blocks([1] * len(index), widths, approx.BLOCK_CELLS):
+            assert 2 * max(steps[lo:hi]) < max(widths[lo:hi])

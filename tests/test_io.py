@@ -2,13 +2,18 @@
 
 import codecs
 import csv
+import gc
 import json
 
 import pytest
 
 from multitruth import Claim, ClaimSet, GoldStandard, ParseError
 from multitruth import io as mio
+from multitruth.index import ClaimIndex
 from multitruth.model import FusionDiagnostics, FusionResult
+from multitruth.synth import SynthConfig, generate
+
+from test_index import BENCH_SETTINGS, assert_same_index, reference_claims_by_item
 
 
 class TestLoadClaims:
@@ -133,6 +138,86 @@ class TestLoadClaims:
             mio.load_claims(path)
         assert "'data.txt'" in str(caught.value)
         assert ".csv" in str(caught.value) and ".jsonl" in str(caught.value)
+
+
+def _write_claims(rows, path, fmt):
+    """Write (source, item, value) rows as a claims file in the format `fmt`:
+    `csv`, `jsonl`, or `padded`, a CSV file whose columns are reordered
+    and padded with one more."""
+    if fmt == "csv":
+        mio.write_claims_csv(rows, path)
+    elif fmt == "jsonl":
+        path.write_text("".join(json.dumps({"source": s, "item": d, "value": v}) + "\n"
+                                for s, d, v in rows))
+    else:
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(("value", "extra", "item_id", "source_id"))
+            writer.writerows((v, f"x{j % 3}", d, s) for j, (s, d, v) in enumerate(rows))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl", "padded"])
+@pytest.mark.parametrize("workload", sorted(BENCH_SETTINGS))
+def test_load_equals_the_reference_grouping_of_bench_data(tmp_path, workload, fmt):
+    """The index `load_claims` reads from a file has the arrays, with their
+    dtypes, the lists and the views of one laid out from the reference
+    grouping of the rows written to it."""
+    rows = generate(SynthConfig(**BENCH_SETTINGS[workload], rng_seed=1))[0]
+    path = tmp_path / ("claims.jsonl" if fmt == "jsonl" else "claims.csv")
+    _write_claims(rows, path, fmt)
+    got, report = mio.load_claims(path)
+    want = reference_claims_by_item(rows)
+    assert_same_index(got, ClaimIndex(want))
+    assert {item: got[item] for item in got} == want
+    assert (report.n_rows, report.n_claims) == (len(rows), len(got.claim_cand))
+
+
+# a malformed claims file and the line its `ParseError` names
+MALFORMED_CLAIMS = {
+    "short row": ("source_id,item_id,value\ns1,d1,a\ns1,d1\n", 3),
+    "whitespace source": ('source_id,item_id,value\ns1,d1,a\n" ",d1,b\n', 3),
+    "whitespace item": ('source_id,item_id,value\ns1,d1,a\ns1,"\t",b\n', 3),
+    "whitespace value": ('source_id,item_id,value\ns1,d1,a\ns1,d1,"  "\n', 3),
+    "after blank lines": ("source_id,item_id,value\ns1,d1,a\n\n\n\ns2,d1\n", 6),
+    "after a two-line field": ('source_id,item_id,value\ns1,d1,"a\nb"\ns2,,c\n', 4),
+    "crlf and byte-order mark": ("\ufeffsource_id,item_id,value\r\ns1,d1,a\r\n\r\ns2,d2,\r\n", 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CLAIMS))
+def test_malformed_claims_line(tmp_path, name):
+    text, line = MALFORMED_CLAIMS[name]
+    path = tmp_path / "claims.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ParseError) as caught:
+        mio.load_claims(path)
+    assert str(caught.value) == f"malformed claims row in {path} (line {line})"
+    assert caught.value.line == line
+
+
+def test_loading_a_bench_file_runs_no_older_generation_collection(tmp_path):
+    """The loader keeps no object per row that the cyclic collector tracks,
+    so the 51k rows of the `fuse_hybrid` data leave the older generations
+    of CPython's collector alone."""
+    assert gc.isenabled()
+    rows = generate(SynthConfig(**BENCH_SETTINGS["fuse_hybrid"], rng_seed=1))[0]
+    assert len(rows) > 50_000
+    path = tmp_path / "claims.csv"
+    mio.write_claims_csv(rows, path)
+    del rows
+    collections = [0, 0, 0]
+
+    def count(phase, info):
+        if phase == "start":
+            collections[info["generation"]] += 1
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        mio.load_claims(path)
+    finally:
+        gc.callbacks.remove(count)
+    assert collections[1:] == [0, 0], collections
 
 
 class TestGold:
@@ -270,7 +355,8 @@ READER_TEXTS = [
 @pytest.mark.parametrize("text", READER_TEXTS, ids=range(len(READER_TEXTS)))
 def test_csv_reader_matches_dict_reader(tmp_path, text):
     """Each text gives the same fields, or the same error and line, under
-    the claims, gold and predictions columns."""
+    the claims, gold and predictions columns, and through the claims
+    reader's columns."""
     path = tmp_path / "rows.csv"
     path.write_bytes(text.encode())
     for columns, optional in ((mio.CLAIM_COLUMNS, ()), (("item_id", "value"), ()),
@@ -282,3 +368,13 @@ def test_csv_reader_matches_dict_reader(tmp_path, text):
             except ParseError as exc:
                 outcomes.append((str(exc), exc.line))
         assert outcomes[0] == outcomes[1], (columns, optional)
+    # the claims reader gives the same rows as columns
+    outcomes = []
+    for read in (mio._csv_claim_columns,
+                 lambda path: tuple(map(list, zip(*reference_csv_rows(
+                     path, "claims", mio.CLAIM_COLUMNS)))) or ([], [], [])):
+        try:
+            outcomes.append(tuple(read(path)))
+        except ParseError as exc:
+            outcomes.append((str(exc), exc.line))
+    assert outcomes[0] == outcomes[1]
