@@ -16,7 +16,8 @@ one item through the step loop on weights shifted by the item's largest
 vote; `approx_fuse_round` runs every item of a `ClaimIndex` at once on
 arrays, with log-sum-exp denominators, and is what `iterate` uses: it
 returns an `index.FusionRound`, the probabilities as one array, and
-builds the result objects only when its `results()` is called.
+builds the selection or the result objects only when its `selected()`
+or `results()` is called.
 `vote_count`, `bot_vote_count` and `fixture_from_qualities` build the
 same votes as linear-domain products, an independent reference that
 `approx_fuse_from_votes` runs through the scalar step loop.
@@ -31,7 +32,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import FusionError
-from .index import ClaimIndex, FusionRound, blocks
+from .index import ClaimIndex, FusionRound, blocks, empty_round, ranked_selection
 from .model import (
     ClaimSet,
     FusionDiagnostics,
@@ -226,7 +227,7 @@ def approx_fuse_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
     loop runs over many items at once in the log domain, in blocks of at
     most BLOCK_CELLS (items x candidates) cells."""
     if not len(index):
-        return FusionRound(np.zeros(0), dict)
+        return empty_round()
     pair_terms = index.source_terms(qualities, active, partial(_log_terms, n=prior.n),
                                     (0.0, 0.0, 0.0))[index.pair_source]
 
@@ -239,8 +240,9 @@ def approx_fuse_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
     del parts
     probabilities = np.empty(len(probs))
     probabilities[ranked] = probs
-    return FusionRound(probabilities, partial(_results, index, probabilities, ranked,
-                                              n_selected, last, bots))
+    return FusionRound(probabilities,
+                       partial(_results, index, probabilities, ranked, n_selected, last, bots),
+                       partial(ranked_selection, index, ranked, n_selected))
 
 
 def _results(index: ClaimIndex, probabilities: np.ndarray, ranked: np.ndarray,

@@ -5,26 +5,28 @@ count-then-pick baseline.
 Each method is one dataset round -- `majority_round`, `accu_round`,
 `precrec_round` and `twostep_round` -- which fuses every item of a
 `ClaimIndex` at once, as `iterate` uses it, and returns an
-`index.FusionRound` whose `results()` builds the result objects through
+`index.FusionRound` whose `selected()` and `results()` build the
+selection and the result objects, the latter through
 `index.item_results`.  The per-item functions (`majority_vote`,
 `accu_fuse`, `precrec_fuse`, `twostep_fuse`) are that round on a
 one-item index (`index.fuse_one`), not a second body.  A round takes
 each sum over the claims in source order, its logs and exponentials
 with `math` and each item's normalising sum with `math.fsum`, so an
 item's floats do not depend on the other items of its round.
-`twostep_round` decides each item's truth count when its results are
-built (`_twostep_k`).
+`twostep_round` decides each item's truth count (`_twostep_k`) when its
+selection or its results are first built.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import cache, partial
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .index import ClaimIndex, FusionRound, above_half_results, fuse_one, item_results
+from .index import (ClaimIndex, FusionRound, above_half_results, empty_round, fuse_one,
+                    item_results, ranked_selection)
 from .model import ClaimSet, FusionResult, PriorConfig, SourceQuality, clamp
 
 
@@ -96,7 +98,8 @@ def _twostep_k(item_id: Any, logs: Mapping[int, List[float]]) -> Tuple[int, List
 # Dataset rounds.  A pair or claim of a source outside `active` gets the
 # neutral term (a log term of 0, an odds factor of 1), which leaves every
 # sum and product it enters exactly as if it were skipped.  Selections
-# and notes are only worked out when `results()` is called.
+# and notes are only worked out when `selected()` or `results()` is
+# called.
 
 def _tie_notes(index: ClaimIndex, probabilities: np.ndarray,
                ranked: np.ndarray) -> Dict[int, str]:
@@ -121,13 +124,21 @@ def _single_truth_results(index: ClaimIndex, method: str, probabilities: np.ndar
     return item_results(index, method, probabilities, ranked, [1] * len(index), notes)
 
 
+def _single_truth_round(index: ClaimIndex, method: str, probabilities: np.ndarray,
+                        notes: Dict[int, List[str]]) -> FusionRound:
+    """The round that selects each item's first-ranked candidate."""
+    return FusionRound(
+        probabilities, partial(_single_truth_results, index, method, probabilities, notes),
+        lambda: ranked_selection(index, index.ranking(probabilities), np.ones(len(index), int)))
+
+
 def majority_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
                    prior: PriorConfig, active: Optional[Iterable[Any]] = None) -> FusionRound:
     """Majority vote on every item of the index, with only the `active`
     sources (all if None) counted, as one round; reads no quality and no
     prior."""
     if not len(index):
-        return FusionRound(np.zeros(0), dict)
+        return empty_round()
     active_pairs = index.source_mask(active)[index.pair_source]
     counts = np.bincount(index.claim_cand[active_pairs[index.claim_pair]],
                          minlength=len(index.tokens))
@@ -136,8 +147,7 @@ def majority_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
     no_source = np.bincount(index.pair_item, weights=active_pairs, minlength=len(index)) == 0
     notes = {d: [f"no active source provided item {index.item_ids[d]!r}"]
              for d in np.flatnonzero(no_source).tolist()}
-    return FusionRound(probabilities, partial(_single_truth_results, index, "majority",
-                                              probabilities, notes))
+    return _single_truth_round(index, "majority", probabilities, notes)
 
 
 def _accu_probabilities(index: ClaimIndex, qualities: Mapping[Any, SourceQuality], n: int,
@@ -163,10 +173,9 @@ def accu_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
     `active` sources (all if None) contributing, as one round: the
     first-ranked value of each item is its one truth."""
     if not len(index):
-        return FusionRound(np.zeros(0), dict)
+        return empty_round()
     probabilities = _accu_probabilities(index, qualities, prior.n, active)
-    return FusionRound(probabilities, partial(_single_truth_results, index, "accu",
-                                              probabilities, {}))
+    return _single_truth_round(index, "accu", probabilities, {})
 
 
 def precrec_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
@@ -208,27 +217,31 @@ def precrec_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
     with np.errstate(invalid="ignore"):
         probabilities = odds / (1.0 + odds)
     probabilities[odds == np.inf] = 1.0
-    return FusionRound(probabilities, partial(above_half_results, index, "precrec",
-                                              probabilities))
+    return FusionRound(probabilities, partial(above_half_results, index, "precrec", probabilities),
+                       partial(np.greater, probabilities, 0.5))
 
 
 def twostep_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
                   prior: PriorConfig, active: Optional[Iterable[Any]] = None) -> FusionRound:
     """twostep on every item of the index, with only the `active` sources
     (all if None) contributing, as one round: accu's probabilities, with
-    each item's truth count decided when the results are built."""
+    each item's truth count decided once, when the selection or the
+    results are first built."""
     if not len(index):
-        return FusionRound(np.zeros(0), dict)
+        return empty_round()
     probabilities = _accu_probabilities(index, qualities, prior.n, active)
-    return FusionRound(probabilities, partial(_twostep_results, index, qualities, active,
-                                              probabilities))
+    counts = cache(partial(_twostep_counts, index, qualities, active))
+    ranking = partial(index.ranking, probabilities)
+    return FusionRound(
+        probabilities,
+        lambda: item_results(index, "twostep", probabilities, ranking(), *counts()),
+        lambda: ranked_selection(index, ranking(), counts()[0]))
 
 
-def _twostep_results(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
-                     active: Optional[Iterable[Any]],
-                     probabilities: np.ndarray) -> Dict[Any, FusionResult]:
-    """`item_results` with each item's truth count decided by `_twostep_k`
-    over the log terms of its active pairs at the item's largest count."""
+def _twostep_counts(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
+                    active: Optional[Iterable[Any]]) -> Tuple[List[int], Dict[int, List[str]]]:
+    """Each item's truth count and notes, decided by `_twostep_k` over the
+    log terms of its active pairs at the item's largest count."""
     on = index.source_mask(active)[index.pair_source].tolist()
     sources, sizes = index.pair_source.tolist(), index.pair_size.tolist()
     bounds = index.pair_start.tolist()
@@ -246,4 +259,4 @@ def _twostep_results(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
                 logs.setdefault(c, []).append(terms[n_card][s])
         k_d, notes[d] = _twostep_k(index.item_ids[d], logs)
         k.append(k_d)
-    return item_results(index, "twostep", probabilities, index.ranking(probabilities), k, notes)
+    return k, notes

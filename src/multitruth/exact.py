@@ -21,7 +21,8 @@ cells depend only on its quality and on how many values it provides, so
 the pass computes them once per (source, provided count), into one
 array sized by the pass, and every item reads from it.  It returns an
 `index.FusionRound`, the probabilities as one array, and builds the
-result objects only when its `results()` is called.  `exact_fuse` is
+selection or the result objects only when its `selected()` or
+`results()` is called.  `exact_fuse` is
 that pass on a one-item index, and `exact_fuse_from_votes` runs the same
 layers on injected vote counts.
 """
@@ -35,7 +36,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 import numpy as np
 
 from .errors import DegenerateEvidenceError, InstanceTooLargeError
-from .index import ClaimIndex, FusionRound, above_half_results, blocks, fuse_one
+from .index import ClaimIndex, FusionRound, above_half_results, blocks, empty_round, fuse_one
 from .likelihood import LOG_ZERO, category_log_probs, category_probs, joint_likelihood
 # unused, but bench/tracing.py wraps `exact.source_likelihood` by name
 from .likelihood import source_likelihood  # noqa: F401
@@ -230,7 +231,7 @@ def exact_fuse_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
                 f"instance too large for exact enumeration ({m} candidates "
                 f"> cap {CANDIDATE_CAP}); use the approximation")
     if not len(index):
-        return FusionRound(np.zeros(0), dict)
+        return empty_round()
     log_probs = index.source_terms(
         qualities, active, lambda q: category_log_probs(category_probs(q, prior.n)), (0.0,) * 5)
 
@@ -268,7 +269,8 @@ def exact_fuse_round(index: ClaimIndex, qualities: Mapping[Any, SourceQuality],
         if bad is not None:
             raise _degenerate(index.item_ids[lo + bad])
         totals[cand_start[lo]:cand_start[hi]] = block
-    return FusionRound(totals, partial(above_half_results, index, "hybrid-exact", totals))
+    return FusionRound(totals, partial(above_half_results, index, "hybrid-exact", totals),
+                       partial(np.greater, totals, 0.5))
 
 
 def _cells(log_probs: np.ndarray, n_provided: np.ndarray, prior: PriorConfig,

@@ -9,15 +9,20 @@ dataset passes of the registered backends -- `approx.approx_fuse_round`,
 `exact.exact_fuse_round` and the four in `baselines` -- or the per-item
 calls of a plain callable), and the quality update
 (`quality.source_metrics`), which reads the round's probability array.
+`iterate` returns the last round as a `RoundResults`, a read-only
+mapping from item key to `FusionResult` that builds no result object
+until an item is read; `io.write_probabilities` writes it straight from
+the round's arrays, so `fuse` builds none at all.
 The frame the passes share lives here: each source's terms
-(`ClaimIndex.source_terms`), each item's ranking, and the result objects
-(`item_results`, `above_half_results`), which every pass but the
-approximation's builds through.  The two engines, which pad their
-arrays, split the index into item ranges with `blocks`.  Everything is
-laid out in a fixed order -- items, sources and each item's candidates
-sorted by their `str`, and each (item, source) pair's values in
-candidate order -- so every sum over these arrays runs in an order that
-does not depend on the hash seed.
+(`ClaimIndex.source_terms`), each item's ranking, the selections
+(`ranked_selection`) and the result objects (`item_results`,
+`above_half_results`), which every pass but the approximation's builds
+through.  The two engines, which pad their arrays, split the index into
+item ranges with `blocks`.  Everything is laid out in a fixed order --
+items, sources and each item's candidates sorted by their `str`, and
+each (item, source) pair's values in candidate order -- so every sum
+over these arrays runs in an order that does not depend on the hash
+seed.
 """
 
 from __future__ import annotations
@@ -213,12 +218,76 @@ def claims_by_item(rows: Iterable[Tuple[Any, Any, Any]]) -> ClaimIndex:
 
 @dataclass(frozen=True, eq=False)
 class FusionRound:
-    """One fusion round of every item of an index: each candidate's
-    probability in candidate order (`ClaimIndex.tokens`), and `results()`,
-    which builds every item's `FusionResult`, keyed as `ClaimIndex.item_keys`."""
+    """One fusion round of every item of an index, in candidate order
+    (`ClaimIndex.tokens`): each candidate's `probabilities`; `results()`,
+    which builds every item's `FusionResult`, keyed as
+    `ClaimIndex.item_keys`; and `selected()`, whether each candidate is
+    one of its item's selected truths.  Both are built only when called.
+    A dataset pass's arrays are its whole output.  A round of per-item
+    calls has no `selected` (None): its results are the calls' own, and
+    may give probability to values that are not candidates."""
 
     probabilities: np.ndarray
     results: Callable[[], Dict[Any, FusionResult]]
+    selected: Optional[Callable[[], np.ndarray]] = None
+
+
+def empty_round() -> FusionRound:
+    """The round of an index without items."""
+    return FusionRound(np.zeros(0), dict, lambda: np.zeros(0, dtype=bool))
+
+
+class RoundResults(Mapping):
+    """The results of a round, read as the dict its `results()` builds;
+    `iterate` returns its last round as one.  Length, iteration and
+    membership come from the index and build nothing.  The first read of
+    an item, or `repr`, `==` or a view (`keys`, `items`, `values`, the
+    dict's own), builds every result in one `results()` call and keeps
+    them in place of the round: `round` is None from then on, so a mapping
+    that has been read holds no more than that dict.  Until then
+    `io.write_probabilities` reads `index` and `round` instead."""
+
+    def __init__(self, index: ClaimIndex, fused: FusionRound):
+        self.index = index
+        self.round: Optional[FusionRound] = fused
+        self._built: Optional[Dict[Any, FusionResult]] = None
+
+    def _results(self) -> Dict[Any, FusionResult]:
+        # threads that read it first at once may each build the results,
+        # which are equal; `_built` is set before `round` is let go, so a
+        # thread that finds no round finds the results
+        fused = self.round
+        if fused is not None:
+            self._built = fused.results()
+            self.round = None
+        return self._built
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self.index)
+
+    def __contains__(self, key: Any) -> bool:
+        return key in self.index
+
+    def __getitem__(self, key: Any) -> FusionResult:
+        return self._results()[key]
+
+    def keys(self):
+        return self._results().keys()
+
+    def items(self):
+        return self._results().items()
+
+    def values(self):
+        return self._results().values()
+
+    def __eq__(self, other: Any) -> bool:
+        return self._results() == other
+
+    def __repr__(self) -> str:
+        return repr(self._results())
 
 
 def fuse_one(round_fn: Callable[..., FusionRound], claims: ClaimSet,
@@ -249,10 +318,21 @@ def item_results(index: ClaimIndex, method: str, probabilities: np.ndarray, rank
     return results
 
 
+def ranked_selection(index: ClaimIndex, ranked: np.ndarray,
+                     n_selected: Sequence[int]) -> np.ndarray:
+    """Whether each candidate, in candidate order, is among the first
+    `n_selected[d]` of its item d in `ranked` order, as `item_results`
+    selects them."""
+    place = np.empty(len(ranked), dtype=np.intp)
+    place[ranked] = np.arange(len(ranked)) - index.cand_start[index.cand_item]
+    return place < np.asarray(n_selected)[index.cand_item]
+
+
 def above_half_results(index: ClaimIndex, method: str,
                        probabilities: np.ndarray) -> Dict[Any, FusionResult]:
     """`item_results` with the values of probability above 0.5 selected;
-    they lead each item's ranking."""
+    they lead each item's ranking, and `np.greater(probabilities, 0.5)`
+    is the selection."""
     n_selected = np.bincount(index.cand_item, weights=probabilities > 0.5, minlength=len(index))
     return item_results(index, method, probabilities, index.ranking(probabilities),
                         n_selected.astype(int).tolist(), {})

@@ -9,14 +9,16 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import re
 from contextlib import closing
 from dataclasses import asdict, dataclass
+from io import StringIO
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .errors import ParseError
-from .index import ClaimIndex, claims_by_item
+from .index import ClaimIndex, FusionRound, RoundResults, claims_by_item
 from .model import Claim, FusionResult, GoldStandard, SourceQuality, normalize_value
 
 log = logging.getLogger(__name__)
@@ -89,6 +91,9 @@ def _csv_rows(path: Path, kind: str, columns: Sequence[str], optional: Sequence[
 
 _ClaimColumns = Tuple[List[str], List[str], List[str]]
 
+# what a JSON field that is neither text, a number nor a boolean holds
+_JSON_TYPE_NAMES = {list: "a list", dict: "an object", type(None): "null"}
+
 
 def _csv_claim_columns(path: Path) -> _ClaimColumns:
     """The source, item and value columns of a claims CSV file, each a list
@@ -134,8 +139,10 @@ def _jsonl_claim_columns(path: Path) -> _ClaimColumns:
             fields = tuple(json.dumps(f) if isinstance(f, bool) else f for f in fields)
             for name, field in zip(("source", "item", "value"), fields):
                 if not isinstance(field, str):
+                    # the field's numbers were parsed as text, so name its
+                    # type, not its value
                     raise ParseError(f"claims {name} must be a scalar, got "
-                                     f"{json.dumps(field)} in {path}", line=line_no)
+                                     f"{_JSON_TYPE_NAMES[type(field)]} in {path}", line=line_no)
                 if not field.strip():
                     raise ParseError(f"empty claims {name} in {path}", line=line_no)
             for column, field in zip(columns, fields):
@@ -187,16 +194,89 @@ def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> No
         writer.writerows(rows)
 
 
-def write_probabilities(results: Mapping[Any, FusionResult], path) -> None:
-    def rows():
-        for item in sorted(results, key=str):
+_SELECTED = ("false", "true")
+
+# the items of a probabilities file each `write` call writes
+WRITE_CHUNK_ITEMS = 256
+
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
+def _csv_field(field: Any) -> str:
+    """`field` as `csv.writer` writes it in a row of more than one field:
+    a `str` as it is unless it holds a comma, a double quote or a line
+    break, and anything else through the writer itself."""
+    if type(field) is str and not _NEEDS_QUOTES(field):
+        return field
+    line = StringIO()
+    csv.writer(line).writerow((field, ""))
+    return line.getvalue()[:-3]  # the empty last field and the line end
+
+
+def _csv_fields(fields: List[Any]) -> List[str]:
+    """`_csv_field` of each of `fields`: `fields` itself when every one
+    is a `str` that needs no quotes."""
+    if all(type(f) is str for f in fields) and not _NEEDS_QUOTES("".join(fields)):
+        return fields
+    return list(map(_csv_field, fields))
+
+
+def _probability_rows(items: Iterable[str], values: Iterable[str],
+                      probabilities: Iterable[float], selected: Iterable[bool]) -> str:
+    """The CSV rows of a probabilities file, from its item and value fields
+    as `_csv_fields` gives them; only the probability is formatted."""
+    return "".join([f"{i},{v},{p:.6g},{_SELECTED[s]}\r\n"
+                    for i, v, p, s in zip(items, values, probabilities, selected)])
+
+
+def _round_columns(index: ClaimIndex, fused: FusionRound) -> Iterator[Tuple[Iterable[Any], ...]]:
+    """The item, value, probability and selected columns of a round's
+    rows, a chunk of items at a time, straight from its arrays.  Index
+    order is the file's: items and each item's candidates by their `str`."""
+    keys, tokens = _csv_fields(index.item_keys), _csv_fields(index.tokens)
+    selected = fused.selected()
+    bounds = index.cand_start.tolist()
+    for lo in range(0, len(index), WRITE_CHUNK_ITEMS):
+        a, b = bounds[lo], bounds[min(lo + WRITE_CHUNK_ITEMS, len(index))]
+        yield (map(keys.__getitem__, index.cand_item[a:b].tolist()), tokens[a:b],
+               fused.probabilities[a:b].tolist(), selected[a:b].tolist())
+
+
+def _result_columns(results: Mapping[Any, FusionResult]) -> Iterator[Tuple[Iterable[Any], ...]]:
+    """The same columns from each item's `FusionResult`: items and each
+    one's probabilities sorted by their `str`."""
+    order = sorted(results, key=str)
+    for lo in range(0, len(order), WRITE_CHUNK_ITEMS):
+        items, values, probabilities, selected = [], [], [], []
+        for item in order[lo:lo + WRITE_CHUNK_ITEMS]:
             r = results[item]
             chosen = set(r.selected_truths)
             for value in sorted(r.probabilities, key=str):
-                yield (item, value, _fmt(r.probabilities[value]),
-                       "true" if value in chosen else "false")
+                items.append(item)
+                values.append(value)
+                probabilities.append(r.probabilities[value])
+                selected.append(value in chosen)
+        yield _csv_fields(items), _csv_fields(values), probabilities, selected
 
-    _write_csv(path, ("item_id", "value", "probability", "selected"), rows())
+
+def write_probabilities(results: Mapping[Any, FusionResult], path) -> None:
+    """Write each item's probabilities as CSV rows `item_id, value,
+    probability, selected`: items, and each item's values, sorted by their
+    `str`, probabilities to 6 significant digits, quoted as `csv.writer`
+    quotes.  The results `iterate` returns are written from the round's
+    arrays, with no result object built, while no item has been read, the
+    round has a selection and every candidate is a `str`: no two of an
+    item's candidates then share a `str`, so index order is the sorted
+    order.  Any other results are written item by item, through the same
+    row writer."""
+    fused = results.round if isinstance(results, RoundResults) else None
+    from_round = (fused is not None and fused.selected is not None
+                  and all(type(t) is str for t in results.index.tokens))
+    columns = _round_columns(results.index, fused) if from_round else _result_columns(results)
+    with Path(path).open("w", newline="", encoding=_WRITE_ENCODING) as fh:
+        fh.write("item_id,value,probability,selected\r\n")
+        for chunk in columns:
+            fh.write(_probability_rows(*chunk))
 
 
 def write_run_summary(path, method: str, iterations: int,

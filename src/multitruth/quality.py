@@ -16,7 +16,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .index import ClaimIndex, FusionRound
+from .index import ClaimIndex, FusionRound, RoundResults
 from .model import ClaimSet, FusionResult, PriorConfig, SourceQuality, derive_q
 
 log = logging.getLogger(__name__)
@@ -179,7 +179,7 @@ def _fuse_all(index: ClaimIndex, qualities: Mapping[Any, SourceQuality], prior: 
 
 def iterate(dataset: Mapping[Any, ClaimSet], prior: PriorConfig,
             fusion: FusionBackend, config: IterationConfig = IterationConfig(),
-            ) -> Tuple[Dict[Any, FusionResult], Dict[Any, SourceQuality], List[IterationRecord]]:
+            ) -> Tuple[RoundResults, Dict[Any, SourceQuality], List[IterationRecord]]:
     """Alternate fusing every item with the current qualities and
     re-estimating every source's quality from the fused probabilities.
 
@@ -191,10 +191,18 @@ def iterate(dataset: Mapping[Any, ClaimSet], prior: PriorConfig,
     `ClaimIndex` of the dataset: the dataset itself when it is one (as
     `claims_by_item` and `io.load_claims` give it), else one laid out
     here.  A fusion round hands the quality update one array of candidate
-    probabilities, and the result objects are built once, from the last
-    round only.  Each round clamps every quality once and fuses on the
-    clamped copies; the qualities returned are unclamped.  A source whose accuracy is undefined in a round (see
-    `source_metrics`) keeps its previous accuracy, with a warning.
+    probabilities.  Each round clamps every quality once and fuses on the
+    clamped copies; the qualities returned are unclamped.  A source whose
+    accuracy is undefined in a round (see `source_metrics`) keeps its
+    previous accuracy, with a warning.
+
+    The results are the last round, as an `index.RoundResults`: a
+    read-only mapping from item to `FusionResult` that reads like the dict
+    of the round's `results()`.  It builds every result object on the
+    first read of an item, in one call, and none before, and then keeps
+    only them; until then `io.write_probabilities` writes it from the
+    round's arrays without one.  A plain callable's round holds the
+    results its calls made.
     """
     if not dataset:
         raise ValueError("empty dataset")
@@ -242,4 +250,4 @@ def iterate(dataset: Mapping[Any, ClaimSet], prior: PriorConfig,
         if delta < TOLERANCE:
             log.debug("quality iteration converged at step %d (delta %.2g)", it, delta)
             break
-    return fused.results(), qualities, records
+    return RoundResults(index, fused), qualities, records

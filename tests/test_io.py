@@ -3,15 +3,19 @@
 import codecs
 import csv
 import gc
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from multitruth import Claim, ClaimSet, GoldStandard, ParseError
+from multitruth import Claim, ClaimSet, GoldStandard, InstanceTooLargeError, ParseError
 from multitruth import io as mio
-from multitruth.index import ClaimIndex
-from multitruth.model import FusionDiagnostics, FusionResult
-from multitruth.synth import SynthConfig, generate
+from multitruth.index import ClaimIndex, RoundResults
+from multitruth.methods import FUSION_BACKENDS, fusion_backend, method_iteration_config
+from multitruth.model import FusionDiagnostics, FusionResult, PriorConfig
+from multitruth.quality import IterationConfig, iterate
+from multitruth.synth import SynthConfig, generate, truth_count_distribution
 
 from test_index import BENCH_SETTINGS, assert_same_index, reference_claims_by_item
 
@@ -81,6 +85,17 @@ class TestLoadClaims:
         path.write_text('{"source": "s1", "item": "d1", "value": "a"}\n' + json.dumps(row))
         with pytest.raises(ParseError, match=f"claims {field} must be a scalar.*line 2"):
             mio.load_claims(path)
+
+    @pytest.mark.parametrize("bad, name", [("[1]", "a list"), ("[1.50]", "a list"),
+                                           ('{"v": 2}', "an object"), ("null", "null")])
+    def test_non_scalar_json_field_names_its_type(self, tmp_path, bad, name):
+        # numbers parse as text, so the field's own spelling is not at hand
+        path = tmp_path / "claims.jsonl"
+        path.write_text(f'{{"source": "s1", "item": "d1", "value": {bad}}}\n')
+        with pytest.raises(ParseError) as caught:
+            mio.load_claims(path)
+        assert str(caught.value) == (f"claims value must be a scalar, got {name} in {path} "
+                                     "(line 1)")
 
     def test_jsonl_numbers_and_booleans_read_as_text(self, tmp_path):
         # kept as JSON values, 1 == True == 1.0 would collapse the first
@@ -294,6 +309,144 @@ class TestProbabilities:
         mio.write_probabilities(self._results(), p1)
         mio.write_probabilities(self._results(), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def reference_write_probabilities(results, path):
+    """`write_probabilities` as it was written on `csv.writer`: every
+    item's `FusionResult`, items and values sorted by their `str`."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("item_id", "value", "probability", "selected"))
+        for item in sorted(results, key=str):
+            r = results[item]
+            for value in sorted(r.probabilities, key=str):
+                writer.writerow((item, value, format(r.probabilities[value], ".6g"),
+                                 "true" if value in r.selected_truths else "false"))
+
+
+def _written(results, path):
+    mio.write_probabilities(results, path)
+    return path.read_bytes()
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The item ids of the `FusionResult`s built while the test runs."""
+    ids = []
+    original = FusionResult.__init__
+
+    def counted(self, *args, **kwargs):
+        ids.append(kwargs.get("item_id"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(FusionResult, "__init__", counted)
+    return ids
+
+
+def assert_written_as_built(results, tmp_path, built):
+    """The results `iterate` returns are written from the round's arrays,
+    building no result object, and give the bytes of the dict they build,
+    which both writers write alike."""
+    assert isinstance(results, RoundResults) and results.round.selected is not None
+    before = len(built)
+    from_round = _written(results, tmp_path / "round.csv")
+    assert len(built) == before
+    from_dict = _written(dict(results), tmp_path / "dict.csv")
+    reference_write_probabilities(results, tmp_path / "reference.csv")
+    assert from_round == from_dict == (tmp_path / "reference.csv").read_bytes()
+    return from_round
+
+
+@pytest.mark.parametrize("method", sorted(FUSION_BACKENDS))
+@pytest.mark.parametrize("workload", sorted(BENCH_SETTINGS))
+def test_round_written_as_its_results_on_bench_data(tmp_path, built, workload, method):
+    cfg = SynthConfig(**BENCH_SETTINGS[workload], rng_seed=1)
+    rows = generate(cfg)[0]
+    path = tmp_path / "claims.csv"
+    mio.write_claims_csv(rows, path)
+    prior = PriorConfig(n=10, alpha=0.25, truth_count_dist=truth_count_distribution(cfg))
+    try:
+        results = iterate(mio.load_claims(path)[0], prior, fusion_backend(method),
+                          method_iteration_config(method, IterationConfig()))[0]
+    except InstanceTooLargeError:
+        assert method == "hybrid-exact" and workload != "fuse_exact"
+        return
+    assert_written_as_built(results, tmp_path, built)
+
+
+# item ids and values that `csv.writer` quotes, or leaves alone though
+# they look odd: commas, double quotes, line breaks in quoted fields,
+# spaces around item ids (values are trimmed), and text past ASCII
+AWKWARD_CLAIMS = (
+    'source_id,item_id,value\r\n'
+    's1,"d,1","a,b"\r\n'
+    's2,"d,1","say ""hi"""\r\n'
+    's3,"d,1","two\r\nlines"\r\n'
+    's1," d2 ",café\r\n'
+    's2," d2 ","naïve\nline"\r\n'
+    's3," d2 ",日本\r\n'
+    's1,d3,plain\r\n'
+    's2,d3,"x""y,z"\r\n'
+    's3,d3,"cr\ronly"\r\n'
+    's1,"d ""4""",v\r\n'
+    's2,"d ""4""",w \r\n'
+    's3,"è\n5",w\r\n'
+)
+
+
+@pytest.mark.parametrize("method", sorted(FUSION_BACKENDS))
+def test_round_written_as_its_results_on_awkward_text(tmp_path, built, method):
+    path = tmp_path / "claims.csv"
+    path.write_bytes(AWKWARD_CLAIMS.encode())
+    dataset = mio.load_claims(path)[0]
+    results = iterate(dataset, PriorConfig(), fusion_backend(method),
+                      method_iteration_config(method, IterationConfig()))[0]
+    written = assert_written_as_built(results, tmp_path, built)
+    assert '"d,1","say ""hi""",'.encode() in written
+    assert mio.load_predictions(tmp_path / "round.csv") == {
+        item: set(r.selected_truths) for item, r in results.items() if r.selected_truths}
+
+
+_FIELDS = st.one_of(st.text(), st.text(alphabet=',"\r\n a\u00e9'), st.integers(), st.none(),
+                    st.floats(allow_nan=False), st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_FIELDS, _FIELDS, st.floats(), st.booleans()), max_size=6))
+def test_row_writer_quotes_as_csv_writer(rows):
+    items, values, probabilities, selected = map(list, zip(*rows)) if rows else ([],) * 4
+    got = mio._probability_rows(mio._csv_fields(items), mio._csv_fields(values),
+                                probabilities, selected)
+    line = io.StringIO()
+    csv.writer(line).writerows((i, v, format(p, ".6g"), "true" if s else "false")
+                               for i, v, p, s in rows)
+    assert got.encode() == line.getvalue().encode()
+
+
+def test_fuse_builds_no_result_until_read(tmp_path, built):
+    """`fuse`'s calls build no `FusionResult`; the first full read of the
+    mapping `iterate` returns builds one per item, and later reads none."""
+    cfg = SynthConfig(num_items=200, rng_seed=1)
+    path = tmp_path / "claims.csv"
+    mio.write_claims_csv(generate(cfg)[0], path)
+    prior = PriorConfig(n=10, alpha=0.25, truth_count_dist=truth_count_distribution(cfg))
+    dataset, report = mio.load_claims(path)
+    results, qualities, records = iterate(dataset, prior, fusion_backend("hybrid"))
+    fused = results.round
+    mio.write_probabilities(results, tmp_path / "fused.csv")
+    mio.write_run_summary(tmp_path / "fused.json", "hybrid", 5, qualities, report)
+    assert (len(results), list(results), "i0001" in results) == (200, list(dataset), True)
+    assert built == []
+    first = {item: r.selected_truths for item, r in results.items()}
+    assert sorted(built) == sorted(r.item_id for r in results.values()) == sorted(first)
+    assert len(built) == len(dataset)
+    assert [results[item].selected_truths for item in dataset] == list(first.values())
+    assert results == dict(results.items()) and repr(results.items()).startswith("dict_items(")
+    assert len(built) == len(dataset)
+    # a read mapping lets its round go, and is written item by item alike
+    assert results.round is None and repr(results) == repr(fused.results())
+    mio.write_probabilities(results, tmp_path / "read.csv")
+    assert (tmp_path / "read.csv").read_bytes() == (tmp_path / "fused.csv").read_bytes()
 
 
 class TestRunSummary:

@@ -326,7 +326,7 @@ def test_exact_iterate_independent_of_hash_seed():
 def test_iterate_builds_each_result_once(monkeypatch, method):
     # a round hands the quality update an array; only the last round's
     # results become objects, which approx builds itself and every other
-    # round through `index`
+    # round through `index`, and only once an item is read
     builder = "multitruth.approx" if method == "hybrid" else "multitruth.index"
     built = []
 
@@ -341,5 +341,7 @@ def test_iterate_builds_each_result_once(monkeypatch, method):
     prior = PriorConfig(n=10, alpha=0.25, truth_count_dist=truth_count_distribution(cfg))
     results, _, records = iterate(dataset, prior, fusion_backend(method))
     assert max(r.iteration for r in records) > 1
-    assert sorted(built) == sorted(r.item_id for r in results.values())
+    assert built == []
+    item_ids = sorted(r.item_id for r in results.values())
+    assert sorted(built) == item_ids
     assert len(built) == len(dataset)
