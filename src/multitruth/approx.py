@@ -273,6 +273,23 @@ def _results(index: ClaimIndex, probabilities: np.ndarray, ranked: np.ndarray,
     return results
 
 
+def _by_vote(log_votes: np.ndarray, item: np.ndarray, start: np.ndarray,
+             m: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidates of a block by item, then decreasing vote, then token:
+    `np.lexsort((-log_votes, item))`, where item d's `m[d]` candidates
+    begin at `start[d]`.  Returns that order and each candidate's row and
+    column in it.  One stable sort of each item's row of negated votes
+    gives it; the rows are padded with NaN, which sorts after every vote,
+    and after a NaN vote too, which comes earlier in its row."""
+    width = int(m.max())
+    padded = np.full((len(m), width), np.nan)
+    padded[item, np.arange(len(item)) - start[item]] = -log_votes
+    keep = np.arange(width) < m[:, None]
+    row, col = np.nonzero(keep)
+    order = start[row] + np.argsort(padded, axis=1, kind="stable")[keep]
+    return order, row, col
+
+
 def _fuse_block(index: ClaimIndex, lo: int, hi: int, pair_terms: np.ndarray,
                 log_odds: np.ndarray, log_int: np.ndarray, prior: PriorConfig):
     """The step loop over items lo..hi-1: one row per item, its
@@ -292,11 +309,8 @@ def _fuse_block(index: ClaimIndex, lo: int, hi: int, pair_terms: np.ndarray,
 
     log_votes = np.bincount(index.claim_cand[k0:k1] - c0,
                             weights=pair_terms[index.claim_pair[k0:k1], 0], minlength=c1 - c0)
-    # the items' candidates by vote, then token; each stays in its item's range
-    item = index.cand_item[c0:c1] - lo
-    order = np.lexsort((-log_votes, item))
-    row = item[order]
-    col = np.arange(c1 - c0) - (index.cand_start[lo:hi] - c0)[row]
+    order, row, col = _by_vote(log_votes, index.cand_item[c0:c1] - lo,
+                               index.cand_start[lo:hi] - c0, m)
     lv = np.full((rows, width), -np.inf)
     lv[row, col] = log_votes[order]
 

@@ -1,9 +1,10 @@
 """Flat, array-backed index of a dataset's claims, and the frame that
 the dataset passes run in.
 
-A `ClaimIndex` is the dataset: `claims_by_item` groups (source, item,
-value) rows straight into one, and it reads as a mapping from item key
-to `ClaimSet`.  `iterate` drives both halves of its loop from it: the
+A `ClaimIndex` is the dataset: `group_columns` groups (source, item,
+value) columns straight into one (`claims_by_item` groups rows, split
+into columns as they come), and it reads as a mapping from item key to
+`ClaimSet`.  `iterate` drives both halves of its loop from it: the
 fusion round, a `FusionRound` that every backend hands back (the
 dataset passes of the registered backends -- `approx.approx_fuse_round`,
 `exact.exact_fuse_round` and the four in `baselines` -- or the per-item
@@ -12,7 +13,9 @@ calls of a plain callable), and the quality update
 `iterate` returns the last round as a `RoundResults`, a read-only
 mapping from item key to `FusionResult` that builds no result object
 until an item is read; `io.write_probabilities` writes it straight from
-the round's arrays, so `fuse` builds none at all.
+the round's arrays, so `fuse` builds none at all, and
+`RoundResults.selections` hands out the round's selected truths, so
+`synth.compare` scores a round without one.
 The frame the passes share lives here: each source's terms
 (`ClaimIndex.source_terms`), each item's ranking, the selections
 (`ranked_selection`) and the result objects (`item_results`,
@@ -67,9 +70,9 @@ class ClaimIndex(Mapping):
     key to its `ClaimSet` (a view built from the arrays on access).
 
     `ClaimIndex(dataset)` lays out any mapping of `ClaimSet`s, such as a
-    hand-built dict; `claims_by_item` lays out (source, item, value) rows
-    through the same code.  `item_keys` are the item keys in index order,
-    `item_ids` the `ClaimSet.item_id` of each.  Candidates are numbered
+    hand-built dict; `group_columns` lays out (source, item, value)
+    columns through the same code.  `item_keys` are the item keys in index
+    order, `item_ids` the `ClaimSet.item_id` of each.  Candidates are numbered
     globally, item after item; `cand_start[d]` is the number of item d's
     first candidate, so item d owns candidates `cand_start[d]` to
     `cand_start[d + 1] - 1`, in token order.  A pair is one (item, source)
@@ -195,24 +198,35 @@ def claims_by_item(rows: Iterable[Tuple[Any, Any, Any]]) -> ClaimIndex:
     """Group (source, item, value) rows into a `ClaimIndex`, keyed by item.
     The rows are read as a stream, each split into a source, an item and
     a value column as it comes, so no row need outlive its turn (a row
-    that is not a triple raises `ValueError`).  Each distinct value is
-    normalised once (`model.normalize_value`), and rows that are then
-    equal collapse into one claim."""
+    that is not a triple raises `ValueError`); `group_columns` groups the
+    columns."""
     sources: List[Any] = []
     items: List[Any] = []
-    raw: List[Any] = []
-    add_source, add_item, add_value = sources.append, items.append, raw.append
+    values: List[Any] = []
+    add_source, add_item, add_value = sources.append, items.append, values.append
     for source, item, value in rows:
         add_source(source)
         add_item(item)
         add_value(value)
-    distinct = dict.fromkeys(raw)
-    values, normal_code = _numbered(list(map(normalize_value, distinct)))
+    return group_columns(sources, items, values)
+
+
+def group_columns(sources: Sequence[Any], items: Sequence[Any],
+                  values: Sequence[Any]) -> ClaimIndex:
+    """Group the claims (`sources[j]`, `items[j]`, `values[j]`) into a
+    `ClaimIndex`, keyed by item.  Each distinct value is normalised once
+    (`model.normalize_value`), and claims that are then equal collapse
+    into one.  Columns of different lengths raise `ValueError`."""
+    if not len(sources) == len(items) == len(values):
+        raise ValueError(f"columns of {len(sources)} sources, {len(items)} items and "
+                         f"{len(values)} values")
+    distinct = dict.fromkeys(values)
+    normal, normal_code = _numbered(list(map(normalize_value, distinct)))
     value_code = dict(zip(distinct, normal_code.tolist())).__getitem__
     keys, item_code = _numbered(items)
     index = ClaimIndex.__new__(ClaimIndex)
-    index._lay_out(keys, keys, item_code, *_numbered(sources), values,
-                   np.fromiter(map(value_code, raw), np.intp, len(raw)))
+    index._lay_out(keys, keys, item_code, *_numbered(sources), normal,
+                   np.fromiter(map(value_code, values), np.intp, len(values)))
     return index
 
 
@@ -245,7 +259,8 @@ class RoundResults(Mapping):
     dict's own), builds every result in one `results()` call and keeps
     them in place of the round: `round` is None from then on, so a mapping
     that has been read holds no more than that dict.  Until then
-    `io.write_probabilities` reads `index` and `round` instead."""
+    `io.write_probabilities` and `selections` read `index` and `round`
+    instead."""
 
     def __init__(self, index: ClaimIndex, fused: FusionRound):
         self.index = index
@@ -273,6 +288,20 @@ class RoundResults(Mapping):
 
     def __getitem__(self, key: Any) -> FusionResult:
         return self._results()[key]
+
+    def selections(self) -> Dict[Any, List[Any]]:
+        """Each item's selected truths, keyed as the results: from the
+        round's `selected()`, in candidate order and with no result built,
+        while the round has a selection; from the results once they are
+        built, or where the round has no selection (a plain callable's)."""
+        fused = self.round
+        if fused is None or fused.selected is None:
+            return {item: r.selected_truths for item, r in self._results().items()}
+        index = self.index
+        chosen = np.flatnonzero(fused.selected())
+        bounds = chosen.searchsorted(index.cand_start).tolist()
+        truths = list(map(index.tokens.__getitem__, chosen.tolist()))
+        return {key: truths[a:b] for key, a, b in zip(index.item_keys, bounds, bounds[1:])}
 
     def keys(self):
         return self._results().keys()

@@ -189,12 +189,12 @@ def iterate(dataset: Mapping[Any, ClaimSet], prior: PriorConfig,
     than TOLERANCE.  With max_iterations=0 this is a single fusion
     pass at the initial qualities.  Both halves of the loop run on one
     `ClaimIndex` of the dataset: the dataset itself when it is one (as
-    `claims_by_item` and `io.load_claims` give it), else one laid out
-    here.  A fusion round hands the quality update one array of candidate
-    probabilities.  Each round clamps every quality once and fuses on the
-    clamped copies; the qualities returned are unclamped.  A source whose
-    accuracy is undefined in a round (see `source_metrics`) keeps its
-    previous accuracy, with a warning.
+    `group_columns`, `claims_by_item` and `io.load_claims` give it), else
+    one laid out here.  A fusion round hands the quality update one array
+    of candidate probabilities.  Each round clamps every quality once and
+    fuses on the clamped copies; the qualities returned are unclamped.  A
+    source whose accuracy is undefined in a round (see `source_metrics`)
+    keeps its previous accuracy, with a warning.
 
     The results are the last round, as an `index.RoundResults`: a
     read-only mapping from item to `FusionResult` that reads like the dict

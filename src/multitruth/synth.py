@@ -16,7 +16,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .methods import fusion_backend, method_iteration_config
-from .index import claims_by_item
+from .index import group_columns
 from .model import Claim, GoldStandard, PriorConfig
 from .quality import IterationConfig, iterate
 
@@ -119,6 +119,42 @@ def _draw_false(rng, used: set, domain_size: int) -> str:
             return f"f{j:03d}"
 
 
+def _draw(config: SynthConfig) -> Tuple[Tuple[List[str], List[str], List[str]], GoldStandard]:
+    """The claims `generate` draws, as (source, item, value) columns, and
+    the gold standard.
+
+    A source draws the cover of an item's `k` truth slots as one array of
+    `k` doubles, the ones `k` scalar draws would give, since nothing else
+    is drawn between them; the accuracy and false-value draws that follow
+    interleave, and stay scalar."""
+    rng = np.random.default_rng(config.rng_seed)
+    recall, accuracy = config.source_recall, config.source_accuracy
+    domain = config.false_domain_size
+    names = [f"s{sdx:02d}" for sdx in range(config.num_sources)]
+    sources: List[str] = []
+    items: List[str] = []
+    values: List[str] = []
+    gold: Dict[Any, set] = {}
+    for idx in range(config.num_items):
+        item = f"i{idx:04d}"
+        k = _truth_count(config, rng.normal(config.truth_count_mean, config.truth_count_std))
+        truths = [f"{item}_t{j}" for j in range(k)]
+        gold[item] = set(truths)
+        first = len(values)
+        for source in names:
+            before = len(values)
+            covered = [t for t, u in zip(truths, rng.random(k).tolist()) if u < recall]
+            used_false: set = set()
+            for t in covered:
+                values.append(t if rng.random() < accuracy
+                              else _draw_false(rng, used_false, domain))
+            for _ in range(_round_half_up(config.extra_ratio * len(covered))):
+                values.append(_draw_false(rng, used_false, domain))
+            sources += [source] * (len(values) - before)
+        items += [item] * (len(values) - first)
+    return (sources, items, values), GoldStandard(truths=gold)
+
+
 def generate(config: SynthConfig) -> Tuple[List[Claim], GoldStandard]:
     """Draw one synthetic dataset.  Fully deterministic given the seed.
 
@@ -128,29 +164,8 @@ def generate(config: SynthConfig) -> Tuple[List[Claim], GoldStandard]:
     value, distinct within that source's claims for the item), and adds
     round(extra_ratio * covered) distinct false values.
     """
-    rng = np.random.default_rng(config.rng_seed)
-    claims: List[Claim] = []
-    gold: Dict[Any, set] = {}
-    for idx in range(config.num_items):
-        item = f"i{idx:04d}"
-        k = _truth_count(config, rng.normal(config.truth_count_mean, config.truth_count_std))
-        truths = [f"{item}_t{j}" for j in range(k)]
-        gold[item] = set(truths)
-        for sdx in range(config.num_sources):
-            source = f"s{sdx:02d}"
-            covered = [t for t in truths if rng.random() < config.source_recall]
-            used_false: set = set()
-            values: List[str] = []
-            for t in covered:
-                if rng.random() < config.source_accuracy:
-                    values.append(t)
-                else:
-                    values.append(_draw_false(rng, used_false, config.false_domain_size))
-            n_extra = _round_half_up(config.extra_ratio * len(covered))
-            for _ in range(n_extra):
-                values.append(_draw_false(rng, used_false, config.false_domain_size))
-            claims.extend(Claim(source, item, v) for v in values)
-    return claims, GoldStandard(truths=gold)
+    columns, gold = _draw(config)
+    return list(map(Claim, *columns)), gold
 
 
 def evaluate(predicted: Mapping[Any, Iterable[Any]],
@@ -197,16 +212,20 @@ def _default_prior(config: SynthConfig) -> PriorConfig:
 
 def _run_rep(config: SynthConfig, methods: Sequence[str],
              rep: int) -> Dict[str, Tuple[float, float, float]]:
+    """Every method's scores on the dataset of repetition `rep`.  Its
+    columns (`_draw`) are grouped into one `ClaimIndex` (`group_columns`),
+    which every method fuses, and each method is scored from its last
+    round's selection (`RoundResults.selections`), so no `Claim` and no
+    `FusionResult` is built."""
     cfg = replace(config, rng_seed=config.rng_seed + rep)
-    claims, gold = generate(cfg)
-    dataset = claims_by_item(claims)  # one index, fused by every method
+    columns, gold = _draw(cfg)
+    dataset = group_columns(*columns)
     prior = _default_prior(cfg)
     scores = {}
     for name in methods:
         results, _, _ = iterate(dataset, prior, fusion_backend(name),
                                 method_iteration_config(name, IterationConfig()))
-        predicted = {item: r.selected_truths for item, r in results.items()}
-        scores[name] = evaluate(predicted, gold)
+        scores[name] = evaluate(results.selections(), gold)
     return scores
 
 
@@ -217,17 +236,22 @@ def compare(methods: Sequence[str], config: SynthConfig,
     at each point of a parameter sweep) and report mean metrics.
 
     Repetitions run with independent derived seeds, so results do not
-    depend on the thread count.  Each repetition groups its claims into
-    one `ClaimIndex` (`claims_by_item`), which every method fuses.  One
-    thread is the default: most of the time goes to Python code that
-    holds the interpreter lock (generating the data, grouping it) and to
-    numpy calls on arrays too small to release it for long, so more
-    threads only add switching.
+    depend on the thread count.  A repetition draws its claims as columns,
+    groups them into one `ClaimIndex` that every method fuses, and scores
+    each method from its round's selection (see `_run_rep`).  One thread
+    is the default: most of the time goes to Python code that holds the
+    interpreter lock (drawing the data, the fusion rounds' Python loops)
+    and to numpy calls on arrays too small to release it for long, so more
+    threads only add switching.  `repetitions` and `threads` are integers
+    of at least 1.
     """
     if not methods:
         raise ValueError("need at least one method")
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    for name, x in (("repetitions", repetitions), ("threads", threads)):
+        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {x!r}")
+        if x < 1:
+            raise ValueError(f"{name} must be >= 1, got {x}")
     for name in methods:
         fusion_backend(name)  # fail fast on unknown names
     points: List[Tuple[str, Any]] = [("", None)]

@@ -1,12 +1,13 @@
-"""Shared fixtures: the winter-sports running example and random-instance
-generators used by the property tests."""
+"""Shared fixtures: the winter-sports running example, random-instance
+generators used by the property tests, and a count of the `FusionResult`s
+a test builds."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from multitruth import ClaimSet, PriorConfig, SourceQuality, VoteCountFixture
+from multitruth import ClaimSet, FusionResult, PriorConfig, SourceQuality, VoteCountFixture
 
 # The running example: four candidate equipment values for one item, three
 # sources, two of the values true.
@@ -43,6 +44,20 @@ def step_fixture() -> VoteCountFixture:
         votes={"o1": 225.0, "o2": 225.0, "o3": 15.0, "o4": 15.0},
         bot_votes=[0.1, 0.24, 18033.0],
     )
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The item ids of the `FusionResult`s built while the test runs."""
+    ids = []
+    original = FusionResult.__init__
+
+    def counted(self, *args, **kwargs):
+        ids.append(kwargs.get("item_id"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(FusionResult, "__init__", counted)
+    return ids
 
 
 def random_instance(rng: np.random.Generator, max_values: int = 6,

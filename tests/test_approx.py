@@ -430,3 +430,24 @@ class TestDatasetPass:
         # an inactive source needs no quality entry
         approx_fuse_round(index, {"s1": q, "s2": q}, hockey_prior,
                           active={"s1", "s2"}).results()
+
+
+# votes with ties, both infinities, both zeros and NaN
+_VOTE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]),
+                  st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_VOTE, min_size=1, max_size=7), min_size=1, max_size=6))
+def test_block_ranking_is_the_lexsort_of_votes_by_item(rows):
+    # the order of a block's candidates that `_fuse_block` steps through:
+    # each item's candidates by decreasing vote, ties in token order
+    m = np.array([len(r) for r in rows])
+    start = np.concatenate(([0], np.cumsum(m)[:-1]))
+    item = np.repeat(np.arange(len(rows)), m).astype(np.int32)
+    log_votes = np.array([v for r in rows for v in r])
+    order, row, col = approx._by_vote(log_votes, item, start, m)
+    want = np.lexsort((-log_votes, item))
+    assert order.tolist() == want.tolist()
+    assert row.tolist() == item[want].tolist()
+    assert col.tolist() == (np.arange(len(item)) - start[item[want]]).tolist()

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import multitruth
-from multitruth import ClaimSet, PriorConfig, SourceQuality, UnknownSourceError, io, model
+from multitruth import (ClaimSet, IterationConfig, PriorConfig, SourceQuality,
+                        UnknownSourceError, io, iterate, model)
 from multitruth.approx import approx_fuse_round
 from multitruth.baselines import accu_round, majority_round, precrec_round, twostep_round
 from multitruth.exact import exact_fuse_round
-from multitruth.index import ClaimIndex, blocks, claims_by_item
-from multitruth.synth import SynthConfig, generate
+from multitruth.index import ClaimIndex, blocks, claims_by_item, group_columns
+from multitruth.methods import FUSION_BACKENDS, method_iteration_config
+from multitruth.synth import SynthConfig, generate, truth_count_distribution
 
 
 def reference_claims_by_item(claims: Iterable[Tuple[Any, Any, Any]]) -> Dict[Any, ClaimSet]:
@@ -41,10 +43,12 @@ def assert_same_index(got: ClaimIndex, want: ClaimIndex):
 
 def assert_groups_as_reference(rows):
     """`claims_by_item(rows)` has the arrays of `ClaimIndex` laid out from
-    the reference dict, and every view equals the reference's ClaimSet."""
+    the reference dict, and every view equals the reference's ClaimSet;
+    `group_columns` of the rows' columns is the same index."""
     want = reference_claims_by_item(rows)
     got = claims_by_item(rows)
     assert_same_index(got, ClaimIndex(want))
+    assert_same_index(group_columns(*([list(c) for c in zip(*rows)] or [[], [], []])), got)
     assert list(got) == sorted(want, key=str)
     assert {item: got[item] for item in got} == want
     # the views lay out again into the same index
@@ -63,6 +67,11 @@ BENCH_SETTINGS = {
 @pytest.mark.parametrize("workload", sorted(BENCH_SETTINGS))
 def test_grouping_of_bench_data(workload):
     assert_groups_as_reference(generate(SynthConfig(**BENCH_SETTINGS[workload], rng_seed=1))[0])
+
+
+def test_grouping_rejects_columns_of_different_lengths():
+    with pytest.raises(ValueError, match="columns of 2 sources, 1 items and 2 values"):
+        group_columns(["s1", "s2"], ["d1"], ["a", "b"])
 
 
 def test_grouping_collapses_duplicates_and_normalised_values():
@@ -219,3 +228,44 @@ def test_rounds_on_items_without_sources(fuse_round, probabilities, truths, note
     results = fused.results()
     assert [results[d].selected_truths for d in "de"] == truths
     assert [results[d].diagnostics.notes for d in "de"] == notes
+
+
+# every registered backend, and a plain per-item callable, which `iterate`
+# fuses item by item and whose round has no selection
+SELECTING = {**FUSION_BACKENDS, "plain": lambda claims, qualities, prior:
+             FUSION_BACKENDS["hybrid"](claims, qualities, prior)}
+
+
+def assert_selections_are_the_results(dataset, prior, name):
+    method = "hybrid" if name == "plain" else name
+    results = iterate(dataset, prior, SELECTING[name],
+                      method_iteration_config(method, IterationConfig()))[0]
+    before = results.selections()
+    # a round with a selection hands it out without building the results
+    assert (results.round is None) == (name == "plain")
+    want = {item: set(r.selected_truths) for item, r in results.items()}
+    after = results.selections()
+    for got in (before, after):
+        assert list(got) == list(dataset)
+        assert {item: set(values) for item, values in got.items()} == want
+        assert all(len(values) == len(set(values)) for values in got.values())
+
+
+# the exact engine runs only on the workload whose items are within its cap
+@pytest.mark.parametrize("workload, name", [
+    (workload, name) for workload in ("compare_methods", "fuse_exact") for name in sorted(SELECTING)
+    if name != "hybrid-exact" or workload == "fuse_exact"])
+def test_selections_are_the_results_on_bench_data(workload, name):
+    cfg = SynthConfig(**BENCH_SETTINGS[workload], rng_seed=1)
+    prior = PriorConfig(n=10, alpha=0.25, truth_count_dist=truth_count_distribution(cfg))
+    assert_selections_are_the_results(claims_by_item(generate(cfg)[0]), prior, name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["s1", "s2", "s3", "s4"]),
+                          st.sampled_from(["d1", "d2", "d3", "d4"]),
+                          st.sampled_from("abcdef")), min_size=1, max_size=40))
+def test_selections_are_the_results_on_drawn_data(rows):
+    dataset = claims_by_item(rows)
+    for name in sorted(SELECTING):
+        assert_selections_are_the_results(dataset, PriorConfig(), name)

@@ -329,20 +329,6 @@ def _written(results, path):
     return path.read_bytes()
 
 
-@pytest.fixture
-def built(monkeypatch):
-    """The item ids of the `FusionResult`s built while the test runs."""
-    ids = []
-    original = FusionResult.__init__
-
-    def counted(self, *args, **kwargs):
-        ids.append(kwargs.get("item_id"))
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(FusionResult, "__init__", counted)
-    return ids
-
-
 def assert_written_as_built(results, tmp_path, built):
     """The results `iterate` returns are written from the round's arrays,
     building no result object, and give the bytes of the dict they build,

@@ -2,22 +2,79 @@
 oracle, and the comparison harness."""
 
 import math
+from dataclasses import replace
 from statistics import NormalDist
+from typing import Any, Dict, List, Tuple
 
+import numpy as np
 import pytest
 
 from multitruth import (
+    Claim,
     GoldStandard,
     IterationConfig,
     PriorConfig,
     SynthConfig,
+    claims_by_item,
     compare,
     evaluate,
     generate,
+    iterate,
+    synth,
     truth_count_distribution,
 )
-from multitruth.methods import method_iteration_config
-from multitruth.synth import _round_half_up
+from multitruth.cli import _SWEEPS
+from multitruth.methods import fusion_backend, method_iteration_config
+from multitruth.synth import _default_prior, _draw_false, _round_half_up, _truth_count
+
+from test_index import BENCH_SETTINGS
+
+# the methods the benchmark's `compare` workload runs
+BENCH_METHODS = ["hybrid", "precrec", "twostep", "accu", "majority"]
+
+
+def reference_generate(config: SynthConfig) -> Tuple[List[Claim], GoldStandard]:
+    """`generate` one scalar draw at a time, one `Claim` per value: the
+    reference the column generator is checked against."""
+    rng = np.random.default_rng(config.rng_seed)
+    claims: List[Claim] = []
+    gold: Dict[Any, set] = {}
+    for idx in range(config.num_items):
+        item = f"i{idx:04d}"
+        k = _truth_count(config, rng.normal(config.truth_count_mean, config.truth_count_std))
+        truths = [f"{item}_t{j}" for j in range(k)]
+        gold[item] = set(truths)
+        for sdx in range(config.num_sources):
+            source = f"s{sdx:02d}"
+            covered = [t for t in truths if rng.random() < config.source_recall]
+            used_false: set = set()
+            values: List[str] = []
+            for t in covered:
+                if rng.random() < config.source_accuracy:
+                    values.append(t)
+                else:
+                    values.append(_draw_false(rng, used_false, config.false_domain_size))
+            n_extra = _round_half_up(config.extra_ratio * len(covered))
+            for _ in range(n_extra):
+                values.append(_draw_false(rng, used_false, config.false_domain_size))
+            claims.extend(Claim(source, item, v) for v in values)
+    return claims, GoldStandard(truths=gold)
+
+
+def reference_run_rep(config: SynthConfig, methods, rep: int):
+    """`synth._run_rep` on claim rows and result objects: the reference
+    draws `Claim`s, groups them with `claims_by_item` and scores each
+    method from its `FusionResult`s."""
+    cfg = replace(config, rng_seed=config.rng_seed + rep)
+    claims, gold = reference_generate(cfg)
+    dataset = claims_by_item(claims)
+    prior = _default_prior(cfg)
+    scores = {}
+    for name in methods:
+        results, _, _ = iterate(dataset, prior, fusion_backend(name),
+                                method_iteration_config(name, IterationConfig()))
+        scores[name] = evaluate({item: r.selected_truths for item, r in results.items()}, gold)
+    return scores
 
 
 class TestConfig:
@@ -160,6 +217,30 @@ class TestGenerate:
             assert values == gold.truths[item]
 
 
+# the generator settings `generate` must draw as the reference does: the
+# benchmark's, the ends of every canned sweep, and the edges of the ranges
+SAME_DRAWS = (
+    [dict(fields, rng_seed=seed) for fields in BENCH_SETTINGS.values() for seed in (1, 7)]
+    + [{param: values[j]} for grid in _SWEEPS.values() for param, values in grid.items()
+       for j in (0, -1)]
+    + [dict(source_recall=0.0), dict(source_recall=1.0), dict(source_accuracy=0.0),
+       dict(source_accuracy=1.0), dict(truth_count_std=0.0), dict(extra_ratio=0.0),
+       dict(false_domain_size=12), dict(false_domain_size=12, source_accuracy=0.0),
+       dict(truth_count_mean=3, truth_count_std=0.0, truth_count_max=3, source_accuracy=0.0,
+            source_recall=1.0, extra_ratio=0.5, false_domain_size=5)])
+
+
+@pytest.mark.parametrize("fields", SAME_DRAWS)
+def test_generate_draws_as_the_scalar_reference(fields):
+    cfg = SynthConfig(**fields)
+    claims, gold = generate(cfg)
+    want_claims, want_gold = reference_generate(cfg)
+    assert all(type(c) is Claim for c in claims)
+    assert claims == want_claims
+    assert gold.truths == want_gold.truths
+    assert list(gold.truths) == list(want_gold.truths)
+
+
 class TestEvaluate:
     def test_hand_computed_metrics(self):
         gold = GoldStandard(truths={"d1": {"a", "b"}, "d2": {"c"}})
@@ -211,3 +292,28 @@ class TestCompare:
         assert not method_iteration_config("twostep", base).update_slot_metrics
         assert method_iteration_config("hybrid", base).update_slot_metrics
         assert method_iteration_config("precrec", base).update_slot_metrics
+
+    @pytest.mark.parametrize("field, value", [
+        ("threads", 0), ("threads", -2), ("threads", True), ("threads", 1.5),
+        ("repetitions", 0), ("repetitions", False), ("repetitions", 2.0),
+    ])
+    def test_counts_must_be_integers_of_at_least_one(self, field, value):
+        kwargs = {"repetitions": 1, "threads": 1, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            compare(["majority"], SynthConfig(num_items=2), **kwargs)
+
+    def test_builds_no_result_object(self, built):
+        rows = compare(BENCH_METHODS, SynthConfig(**BENCH_SETTINGS["compare_methods"],
+                                                  rng_seed=1), repetitions=6, threads=2)
+        assert len(rows) == 5 and built == []
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("methods, sweep, reps", [
+        (BENCH_METHODS, None, 6),
+        (["hybrid", "accu", "precrec", "twostep"], _SWEEPS["accuracy"], 2),
+    ], ids=["bench", "sweep-accuracy"])
+    def test_rows_equal_the_reference(self, monkeypatch, threads, methods, sweep, reps):
+        cfg = SynthConfig(**BENCH_SETTINGS["compare_methods"], rng_seed=1)
+        rows = compare(methods, cfg, sweep, repetitions=reps, threads=threads)
+        monkeypatch.setattr(synth, "_run_rep", reference_run_rep)
+        assert rows == compare(methods, cfg, sweep, repetitions=reps, threads=threads)
