@@ -2,6 +2,13 @@
 report emission.  Every file is read as UTF-8 with an optional byte-order
 mark and written as UTF-8, whatever the locale.  Floating-point output
 uses 6 significant digits so reruns are byte-identical.
+
+A plain claims CSV file, one with no quoting and nothing else `csv.reader`
+would have to read field by field, is split with `str` methods a chunk of
+lines at a time; every other CSV file is read row by row by `csv.reader`.
+Both give the same columns, the same `LoadReport` and the same
+`ParseError`, since a file that is not plain is read by `csv.reader` from
+its start.
 """
 
 from __future__ import annotations
@@ -10,12 +17,13 @@ import csv
 import json
 import logging
 import re
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass
+from functools import partial
 from io import StringIO
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ParseError
 from .index import ClaimIndex, FusionRound, RoundResults, claims_by_item
@@ -51,11 +59,29 @@ def _detect_format(path: Path) -> str:
 
 
 def _lines(path: Path) -> Iterator[str]:
-    """The lines of a text file, line endings kept, as `csv.reader` wants
-    them; a file that is not UTF-8 is a `ParseError` naming it."""
+    """The lines of a text file, line endings kept; a file that is not
+    UTF-8 is a `ParseError` naming it."""
     try:
         with path.open(newline="", encoding=_READ_ENCODING) as fh:
             yield from fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
+@contextmanager
+def _csv_reader(path: Path, kind: str):
+    """A `csv.reader` over the open text file `path`, a CSV `kind` file.
+    A file that is not UTF-8 is a `ParseError` naming it, and so is a row
+    the reader refuses (a field past `csv.field_size_limit()`, or a NUL
+    on Python 3.10), with the reader's line."""
+    try:
+        with path.open(newline="", encoding=_READ_ENCODING) as fh:
+            reader = csv.reader(fh)
+            try:
+                yield reader
+            except csv.Error as exc:
+                raise ParseError(f"unreadable {kind} row in {path}: {exc}",
+                                 line=reader.line_num) from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
@@ -79,8 +105,7 @@ def _csv_rows(path: Path, kind: str, columns: Sequence[str], optional: Sequence[
     """Each data row of a CSV `kind` file as a tuple of its `columns`, which the
     header must have, then of the `optional` columns the header has (a name
     given twice means its last column); each must hold more than whitespace."""
-    with closing(_lines(path)) as lines:
-        reader = csv.reader(lines)
+    with _csv_reader(path, kind) as reader:
         wanted = _csv_header(reader, path, kind, columns, optional)
         pick, width = itemgetter(*wanted), max(wanted) + 1
         for row in filter(None, reader):  # skips blank lines
@@ -95,16 +120,15 @@ _ClaimColumns = Tuple[List[str], List[str], List[str]]
 _JSON_TYPE_NAMES = {list: "a list", dict: "an object", type(None): "null"}
 
 
-def _csv_claim_columns(path: Path) -> _ClaimColumns:
+def _reader_claim_columns(path: Path) -> _ClaimColumns:
     """The source, item and value columns of a claims CSV file, each a list
-    of text in row order.  Each row is checked as `_csv_rows` checks it,
-    and none outlives its turn of the loop."""
+    of text in row order, read by `csv.reader`.  Each row is checked as
+    `_csv_rows` checks it, and none outlives its turn of the loop."""
     sources: List[str] = []
     items: List[str] = []
     values: List[str] = []
     add_source, add_item, add_value = sources.append, items.append, values.append
-    with closing(_lines(path)) as lines:
-        reader = csv.reader(lines)
+    with _csv_reader(path, "claims") as reader:
         s, i, v = _csv_header(reader, path, "claims", CLAIM_COLUMNS)
         width = max(s, i, v) + 1
         for row in reader:
@@ -116,6 +140,92 @@ def _csv_claim_columns(path: Path) -> _ClaimColumns:
             add_item(row[i])
             add_value(row[v])
     return sources, items, values
+
+
+# the characters the plain path reads at a time, then on to the end of a
+# line; under the default `csv.field_size_limit()`, so that no field of a
+# chunk this long needs its length checked.  Peak RSS of a bench-sized load
+# matches the reader loop's at this size; at 64 Ki the freed chunks left
+# it up to 0.35 MB higher.
+_PLAIN_CHUNK = 96 << 10
+
+# the ASCII characters `str.strip` strips, besides the line breaks
+_ASCII_SPACES = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _plain_fields(chunk: str, step: int) -> Optional[List[str]]:
+    """The fields of `chunk`, whole lines each ending in a line break, with
+    a `\n` after the fields of each line, so that line `k` has its fields
+    at `k * step` to `k * step + step - 2`; None if a line does not have
+    `step - 1` fields, or `chunk` holds a `\r` outside a `\r\n`."""
+    lines = chunk.count("\n")
+    crlf = chunk.count("\r") == lines
+    if not crlf and "\r" in chunk:
+        chunk = chunk.replace("\r\n", "\n")  # mixed line breaks
+    # the marker "\n" becomes a field of its own, the last of its line
+    marked = chunk.replace("\r\n" if crlf else "\n", ",\n,")
+    if "\r" in marked:
+        return None
+    fields = marked.split(",")
+    fields.pop()  # the empty text after the last marker
+    # a line with too many or too few fields moves a marker off its place
+    if len(fields) != lines * step or fields[step - 1::step].count("\n") != lines:
+        return None
+    return fields
+
+
+def _plain_claim_columns(path: Path) -> Optional[_ClaimColumns]:
+    """The columns `_reader_claim_columns` reads from a plain claims CSV
+    file, split with `str` methods a chunk of lines at a time, or None when
+    the file is not plain.  A plain file decodes as UTF-8 and holds no
+    double quote and no NUL, ends each line in `\n` or `\r\n` (the last
+    may have none), has no blank line and the header's number of fields on
+    every line, and its header names the three claim columns; no source,
+    item or value field is empty, only whitespace, or longer than
+    `csv.field_size_limit()`.  On such a file `csv.reader` reads each line
+    as its fields split at the commas."""
+    limit = csv.field_size_limit()
+    columns: _ClaimColumns = ([], [], [])
+    try:
+        with path.open(newline="", encoding=_READ_ENCODING) as fh:
+            header = fh.readline()
+            header = header[:-2] if header.endswith("\r\n") else header.removesuffix("\n")
+            if any(c in header for c in '"\0\r'):
+                return None
+            names = header.split(",")
+            index = {name: j for j, name in enumerate(names)}
+            if not index.keys() >= set(CLAIM_COLUMNS) or max(map(len, names)) > limit:
+                return None
+            at = [index[c] for c in CLAIM_COLUMNS]
+            step = len(names) + 1  # a line's fields and its marker
+            for chunk in iter(partial(fh.read, _PLAIN_CHUNK), ""):
+                if not chunk.endswith("\n"):
+                    chunk += fh.readline()
+                    if not chunk.endswith(("\n", "\r")):  # the last line, unended
+                        chunk += "\n"
+                if '"' in chunk or "\0" in chunk:
+                    return None
+                fields = _plain_fields(chunk, step)
+                if fields is None or (len(chunk) > limit and max(map(len, fields)) > limit):
+                    return None
+                # with no whitespace but line breaks, only an empty field is blank
+                spaced = not chunk.isascii() or any(map(chunk.__contains__, _ASCII_SPACES))
+                for column, j in zip(columns, at):
+                    taken = fields[j::step]
+                    if not all(map(str.strip, taken) if spaced else taken):
+                        return None
+                    column += taken
+    except UnicodeDecodeError:
+        return None
+    return columns
+
+
+def _csv_claim_columns(path: Path) -> _ClaimColumns:
+    """The source, item and value columns of a claims CSV file: split with
+    `str` methods when the file is plain, read by `csv.reader` from the
+    start otherwise.  Either gives the same columns or the same error."""
+    columns = _plain_claim_columns(path)
+    return columns if columns is not None else _reader_claim_columns(path)
 
 
 def _jsonl_claim_columns(path: Path) -> _ClaimColumns:
@@ -155,8 +265,12 @@ def load_claims(path) -> Tuple[ClaimIndex, LoadReport]:
     fuses, which reads as a mapping from item to `ClaimSet`.  The file is
     parsed into a source, an item and a value column, with no tuple kept
     per row, and the columns are grouped by one `claims_by_item` call.
-    Duplicate triples (equal once values are normalized) collapse in the
-    grouping and are counted in the report."""
+    A plain CSV file (no quotes, no blank line, every line as wide as the
+    header; `_plain_claim_columns` has the rules) is split with `str`
+    methods, any other CSV file is read by `csv.reader`, and the columns,
+    the report and any `ParseError` are the same either way.  Duplicate
+    triples (equal once values are normalized) collapse in the grouping
+    and are counted in the report."""
     path = Path(path)
     read = _csv_claim_columns if _detect_format(path) == "csv" else _jsonl_claim_columns
     columns = read(path)
@@ -213,12 +327,21 @@ def _csv_field(field: Any) -> str:
     return line.getvalue()[:-3]  # the empty last field and the line end
 
 
+def _all_str(fields: Iterable[Any]) -> bool:
+    """Whether every one of `fields` is a `str`, not a subclass of it."""
+    return set(map(type, fields)) <= {str}
+
+
+def _csv_strs(fields: List[str]) -> List[str]:
+    """`_csv_field` of each of `fields`, which are all `str`: `fields`
+    itself when none needs quotes."""
+    return list(map(_csv_field, fields)) if _NEEDS_QUOTES("".join(fields)) else fields
+
+
 def _csv_fields(fields: List[Any]) -> List[str]:
     """`_csv_field` of each of `fields`: `fields` itself when every one
     is a `str` that needs no quotes."""
-    if all(type(f) is str for f in fields) and not _NEEDS_QUOTES("".join(fields)):
-        return fields
-    return list(map(_csv_field, fields))
+    return _csv_strs(fields) if _all_str(fields) else list(map(_csv_field, fields))
 
 
 def _probability_rows(items: Iterable[str], values: Iterable[str],
@@ -232,8 +355,9 @@ def _probability_rows(items: Iterable[str], values: Iterable[str],
 def _round_columns(index: ClaimIndex, fused: FusionRound) -> Iterator[Tuple[Iterable[Any], ...]]:
     """The item, value, probability and selected columns of a round's
     rows, a chunk of items at a time, straight from its arrays.  Index
-    order is the file's: items and each item's candidates by their `str`."""
-    keys, tokens = _csv_fields(index.item_keys), _csv_fields(index.tokens)
+    order is the file's: items and each item's candidates by their `str`,
+    every candidate being a `str`."""
+    keys, tokens = _csv_fields(index.item_keys), _csv_strs(index.tokens)
     selected = fused.selected()
     bounds = index.cand_start.tolist()
     for lo in range(0, len(index), WRITE_CHUNK_ITEMS):
@@ -271,7 +395,7 @@ def write_probabilities(results: Mapping[Any, FusionResult], path) -> None:
     row writer."""
     fused = results.round if isinstance(results, RoundResults) else None
     from_round = (fused is not None and fused.selected is not None
-                  and all(type(t) is str for t in results.index.tokens))
+                  and _all_str(results.index.tokens))
     columns = _round_columns(results.index, fused) if from_round else _result_columns(results)
     with Path(path).open("w", newline="", encoding=_WRITE_ENCODING) as fh:
         fh.write("item_id,value,probability,selected\r\n")

@@ -5,9 +5,11 @@ import csv
 import gc
 import io
 import json
+import tracemalloc
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from multitruth import Claim, ClaimSet, GoldStandard, InstanceTooLargeError, ParseError
 from multitruth import io as mio
@@ -233,6 +235,196 @@ def test_loading_a_bench_file_runs_no_older_generation_collection(tmp_path):
     finally:
         gc.callbacks.remove(count)
     assert collections[1:] == [0, 0], collections
+
+
+def _outcome(read, path):
+    """What `read(path)` returns, or the message and line of its `ParseError`."""
+    try:
+        return read(path)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+def _loaded_rows(path):
+    """The rows `load_claims` groups, or its `ParseError`."""
+    grouped = []
+
+    def capture(rows):
+        grouped.append(list(rows))
+        return claims_by_item(grouped[-1])
+
+    claims_by_item = mio.claims_by_item
+    with mock.patch.object(mio, "claims_by_item", capture):
+        outcome = _outcome(mio.load_claims, path)
+    return grouped[0] if grouped else outcome
+
+
+# claims files the plain path must split, and files it must leave to
+# `csv.reader`, each with the columns read from it
+PLAIN_CLAIMS = {
+    "lf": "source_id,item_id,value\ns1,d1,a\ns2,d1,b\n",
+    "crlf": "source_id,item_id,value\r\ns1,d1,a\r\ns2,d1,b\r\n",
+    "mixed line breaks": "source_id,item_id,value\r\ns1,d1,a\ns2,d1,b\r\n",
+    "no last line break": "source_id,item_id,value\ns1,d1,a\ns2,d1,b",
+    "byte-order mark": "\ufeffsource_id,item_id,value\ns1,d1,a\ns2,d1,b\n",
+    "reordered and extra columns": "x,value,item_id,source_id,x\n,a,d1,s1,1\n2,b,d1,s2,\n",
+    "a name given twice": "value,source_id,item_id,value\nz,s1,d1,a\nz,s2,d1,b\n",
+    "spaced and non-ASCII text": "source_id,item_id,value\n s1 ,d1,a\u3000\ns2,d1,\tb\n",
+}
+NOT_PLAIN_CLAIMS = {
+    "a quote": 'source_id,item_id,value\ns1,d1,a\ns2,d1,"b"\n',
+    "a lone cr": "source_id,item_id,value\ns1,d1,a\rs2,d1,b\n",
+    "a lone cr in the header": "source_id,item_id,value\rs1,d1,a\ns2,d1,b\n",
+    "a lone cr at the end": "source_id,item_id,value\ns1,d1,a\ns2,d1,b\r",
+    "an inner blank line": "source_id,item_id,value\ns1,d1,a\n\ns2,d1,b\n",
+    "a trailing blank line": "source_id,item_id,value\r\ns1,d1,a\r\ns2,d1,b\r\n\r\n",
+    "a NUL": "source_id,item_id,value\ns1,d1,a\ns2,d1,b\0\n",
+    "a lone cr in a value": "source_id,item_id,value\ns1,d1,a\rb\ns2,d1,b\n",
+    "a longer line": "source_id,item_id,value\ns1,d1,a,x\ns2,d1,b\n",
+    "a longer and a shorter line": "source_id,item_id,value\ns1,d1,a,x\ns2,d1\n",
+    "a line of two lines' fields": "source_id,item_id,value\ns1,d1,a,x,s2,d1,b\n",
+    "a whitespace value": "source_id,item_id,value\ns1,d1,a\ns2,d1,\u3000\n",
+    "an ASCII whitespace value": "source_id,item_id,value\ns1,d1,a\ns2,d1,\x0b\x0c\x1c\x1f\n",
+    "an empty item": "source_id,item_id,value\ns1,d1,a\ns2,,b\n",
+    "no value column": "source_id,item_id\ns1,d1\n",
+    "a non-UTF-8 byte": "source_id,item_id,value\ns1,d1,a\ns2,d1,b\udcff\n",
+}
+
+
+@pytest.mark.parametrize("plain", [True, False], ids=["plain", "not-plain"])
+def test_plain_path_splits_only_plain_files(tmp_path, plain):
+    path = tmp_path / "claims.csv"
+    for name, text in (PLAIN_CLAIMS if plain else NOT_PLAIN_CLAIMS).items():
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        got = mio._plain_claim_columns(path)
+        if plain:
+            assert got == mio._reader_claim_columns(path) != ([], [], []), name
+        else:
+            assert got is None, name
+
+
+def test_plain_path_reads_bench_files_in_chunks(tmp_path):
+    rows = generate(SynthConfig(**BENCH_SETTINGS["fuse_hybrid"], rng_seed=1))[0]
+    path = tmp_path / "claims.csv"
+    mio.write_claims_csv(rows, path)
+    assert path.stat().st_size > 4 * mio._PLAIN_CHUNK
+    columns = mio._plain_claim_columns(path)
+    assert columns == mio._reader_claim_columns(path) == tuple(map(list, zip(*rows)))
+
+
+def _rarely(strategy, common, one_in=30):
+    """`strategy` once in `one_in` draws, `common` otherwise."""
+    return st.integers(0, one_in - 1).flatmap(lambda k: strategy if k == 0 else common)
+
+
+# field text: mostly plain, sometimes what `csv.reader` reads its own way,
+# sometimes longer than the lowered field size limit
+_FIELD_LIMIT = 12
+_CLAIM_FIELDS = _rarely(st.one_of(st.text(alphabet='ab ,"\t\r\n\0\u3000', max_size=5),
+                                  st.text(alphabet="ab", min_size=11, max_size=14)),
+                        st.text(alphabet="abé", min_size=1, max_size=4))
+
+
+@st.composite
+def claims_files(draw):
+    """The bytes of a claims CSV file, awkward in the ways `csv.reader`
+    and the plain path could read differently: quotes, CR, LF and mixed
+    line breaks, blank lines, a byte-order mark, NUL, reordered, extra and
+    repeated columns, empty, blank and oversized fields, and a byte that
+    is not UTF-8."""
+    header = list(draw(st.permutations(mio.CLAIM_COLUMNS)))
+    for name in draw(st.lists(st.sampled_from(["x", "", *mio.CLAIM_COLUMNS]), max_size=2)):
+        header.insert(draw(st.integers(0, len(header))), name)
+    if draw(st.integers(0, 9)) == 0:
+        header.remove(draw(st.sampled_from(mio.CLAIM_COLUMNS)))
+    width = _rarely(st.integers(len(header) - 1, len(header) + 1), st.just(len(header)))
+    quoted = _rarely(st.just(True), st.just(False))
+    lines = [",".join(header)]
+    for w in draw(st.lists(width, max_size=8)):
+        lines.append(",".join('"' + f.replace('"', '""') + '"' if draw(quoted) else f
+                              for f in draw(st.lists(_CLAIM_FIELDS, min_size=w, max_size=w))))
+    for _ in range(draw(_rarely(st.integers(1, 2), st.just(0), 4))):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    mixed = _rarely(st.just("\r"), st.sampled_from(["\n", "\r\n"]), 8)
+    end = draw(st.sampled_from([st.just("\n"), st.just("\r\n"), mixed]))
+    ends = [draw(end) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    data = ("\ufeff" if draw(st.booleans()) else "") + "".join(map("".join, zip(lines, ends)))
+    data = data.encode()
+    if data and draw(st.integers(0, 9)) == 0:  # a byte that is not UTF-8, late in the file
+        at = draw(st.integers(len(data) // 2, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@pytest.fixture
+def field_limit():
+    """`csv.field_size_limit()` lowered to `_FIELD_LIMIT` while the test runs."""
+    old = csv.field_size_limit(_FIELD_LIMIT)
+    try:
+        yield _FIELD_LIMIT
+    finally:
+        csv.field_size_limit(old)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=claims_files())
+def test_plain_path_reads_as_the_reader_loop(tmp_path_factory, field_limit, data):
+    """The plain path gives nothing or the reader loop's columns, and
+    `load_claims` groups the reader loop's rows or raises its error."""
+    path = tmp_path_factory.mktemp("plain") / "claims.csv"
+    path.write_bytes(data)
+    want = _outcome(mio._reader_claim_columns, path)
+    plain = mio._plain_claim_columns(path)
+    assert plain is None or plain == want
+    if isinstance(want[0], list):
+        want = list(zip(*want)) or (f"no claims found in {path}", None)
+    assert _loaded_rows(path) == want
+
+
+def test_load_traces_no_more_memory_than_the_reader_loop(tmp_path):
+    """The plain path holds a chunk of the file's text at a time, so the
+    traced peak of a load stays near that of the reader loop."""
+    rows = generate(SynthConfig(**BENCH_SETTINGS["fuse_hybrid"], rng_seed=1))[0]
+    path = tmp_path / "claims.csv"
+    mio.write_claims_csv(rows, path)
+    del rows
+    assert mio._plain_claim_columns(path) is not None
+    peaks = []
+    for plain in (mio._plain_claim_columns, lambda path: None):
+        with mock.patch.object(mio, "_plain_claim_columns", plain):
+            mio.load_claims(path)
+            tracemalloc.start()
+            try:
+                mio.load_claims(path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[0] <= 1.05 * peaks[1], peaks
+
+
+# an oversized field for each CSV loader, and the line it is on
+_OVERSIZED = "x" * (csv.field_size_limit() + 1)
+
+
+@pytest.mark.parametrize("load, kind, text", [
+    (mio.load_claims, "claims", f"source_id,item_id,value\ns1,d1,a\ns2,d1,{_OVERSIZED}\n"),
+    (mio.load_gold, "gold", f"item_id,value\nd1,a\nd1,{_OVERSIZED}\n"),
+    (mio.load_predictions, "predictions", f"item_id,value,probability,selected\n"
+                                          f"d1,a,0.9,true\nd1,{_OVERSIZED},0.1,false\n"),
+], ids=["claims", "gold", "predictions"])
+def test_a_field_past_the_size_limit_is_a_parse_error(tmp_path, load, kind, text):
+    path = tmp_path / "rows.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError) as caught:
+        load(path)
+    limit = csv.field_size_limit()
+    assert str(caught.value) == (f"unreadable {kind} row in {path}: field larger than "
+                                 f"field limit ({limit}) (line 3)")
+    assert caught.value.line == 3
+    assert mio._plain_claim_columns(path) is None
 
 
 class TestGold:
